@@ -205,7 +205,8 @@ InvariantChecker::checkSubscriptions(const std::string& phase,
             }
         }
 
-        // GPS bit <=> expanded multi-subscriber page.
+        // GPS bit <=> expanded multi-subscriber page, and every mapping
+        // carries the page's bit.
         ++report.invariantChecks;
         const bool multi =
             maskCount(st->subscribers) >= 2 && !st->collapsed;
@@ -220,6 +221,19 @@ InvariantChecker::checkSubscriptions(const std::string& phase,
             f.hasVpn = true;
             addFinding(report, std::move(f));
         }
+        maskForEach(st->mapped, [&](GpuId g) {
+            const Pte* mapping = drv.pageTable(g).lookup(vpn);
+            if (mapping == nullptr || mapping->gpsBit == st->gpsBitSet)
+                return;
+            std::ostringstream os;
+            os << "pte_gps_bit=" << mapping->gpsBit
+               << " page_gps_bit=" << st->gpsBitSet;
+            CheckFinding f =
+                makeFinding("subscription.gps-bit", os.str(), phase, g);
+            f.vpn = vpn;
+            f.hasVpn = true;
+            addFinding(report, std::move(f));
+        });
     });
 }
 

@@ -18,7 +18,8 @@
  *  - Subscription consistency: GPS page-table replicas are a subset of
  *    the driver's PageState::subscribers, no replica sits on an
  *    unallocated (e.g. retired) frame, and the GPS bit is set exactly
- *    for expanded multi-subscriber pages (Section 5.2).
+ *    for expanded multi-subscriber pages (Section 5.2), on the page
+ *    state and on every GPU's mapping of the page.
  *  - Frame accounting: framesFree() agrees with the allocator's
  *    free-list/bump view, and initial frames equal current capacity
  *    plus retirements.

@@ -35,6 +35,7 @@ GpsParadigm::GpsParadigm(MultiGpuSystem& system)
             [this, gpu](const WqEntry& entry) { onDrain(gpu, entry); });
     }
     chargedStallDrains_.assign(system.numGpus(), 0);
+    lastPending_.assign(system.numGpus(), nullptr);
     hierTopo_ = dynamic_cast<const NodeTopology*>(&system.topology());
 }
 
@@ -117,8 +118,7 @@ GpsParadigm::accessShared(GpuId gpu, const MemAccess& access, PageNum vpn,
         queues_[gpu]->noteAtomicBypass();
         ++counters.wqAtomicBypass;
         units_[gpu]->translate(vpn, counters);
-        forwardToSubscribers(gpu, remote, vpn, access.size, counters,
-                             traffic);
+        forwardToSubscribers(gpu, remote, vpn, access.size, counters);
         return;
     }
 
@@ -130,7 +130,6 @@ GpsParadigm::accessShared(GpuId gpu, const MemAccess& access, PageNum vpn,
     }
 
     ctxCounters_ = &counters;
-    ctxTraffic_ = &traffic;
     const bool coalesced = queues_[gpu]->insert(
         access.vaddr, access.size,
         static_cast<std::uint32_t>(maskCount(remote)));
@@ -145,7 +144,7 @@ GpsParadigm::accessShared(GpuId gpu, const MemAccess& access, PageNum vpn,
 void
 GpsParadigm::onDrain(GpuId producer, const WqEntry& entry)
 {
-    gps_assert(ctxCounters_ != nullptr && ctxTraffic_ != nullptr,
+    gps_assert(ctxCounters_ != nullptr,
                "write queue drained outside a replay context");
     // W5: translate through the GPS-TLB / GPS page table.
     units_[producer]->translate(entry.vpn, *ctxCounters_);
@@ -154,7 +153,7 @@ GpsParadigm::onDrain(GpuId producer, const WqEntry& entry)
     // transfers are block-granular; §7.5 discusses the waste).
     const PageState& st = drv().state(entry.vpn);
     forwardToSubscribers(producer, st.subscribers, entry.vpn, lineBytes(),
-                         *ctxCounters_, *ctxTraffic_);
+                         *ctxCounters_);
     ++ctxCounters_->wqDrains;
 }
 
@@ -162,44 +161,67 @@ void
 GpsParadigm::forwardToSubscribers(GpuId producer,
                                   const GpuMask& subscribers, PageNum vpn,
                                   std::uint32_t payload,
-                                  KernelCounters& counters,
-                                  TrafficMatrix& traffic)
+                                  KernelCounters& counters)
+{
+    const GpuMask remote = maskClear(subscribers, producer);
+    const std::uint64_t messages = maskCount(remote);
+    if (messages == 0)
+        return;
+    counters.pushedStoreBytes += payload * messages;
+    if (profile_ != nullptr)
+        profile_->noteRemoteWriteForward(vpn, messages, payload * messages);
+
+    // Nothing reads the phase traffic before every endKernel, so the
+    // wire bytes wait there as one integer sum per (producer, mask).
+    PendingForwards::value_type* entry = lastPending_[producer];
+    if (entry == nullptr || entry->first.remote != remote)
+        lastPending_[producer] = entry =
+            &*pending_.try_emplace(ForwardKey{remote, producer}).first;
+    ++entry->second.messages;
+    entry->second.payload += payload;
+}
+
+void
+GpsParadigm::flushForwards(TrafficMatrix& traffic)
 {
     const bool hier =
         hierTopo_ != nullptr && cfg().hierarchicalSubscription;
-    const std::size_t home =
-        hierTopo_ != nullptr ? hierTopo_->nodeOf(producer) : 0;
-    // maskForEach visits ascending GPU ids and nodes are contiguous id
-    // ranges, so each remote node's subscribers arrive consecutively:
-    // tracking only the most recent proxy suffices.
-    GpuId proxy = invalidGpu;
-    std::size_t proxy_node = 0;
-    maskForEach(subscribers, [&](GpuId sub) {
-        if (sub == producer)
-            return;
-        GpuId src = producer;
-        if (hierTopo_ != nullptr) {
-            const std::size_t node = hierTopo_->nodeOf(sub);
-            if (node != home) {
-                if (!hier) {
-                    ++uplinkForwards_;
-                } else if (proxy == invalidGpu || node != proxy_node) {
-                    // First subscriber on this remote node becomes the
-                    // node's proxy: one copy crosses the uplink...
-                    proxy = sub;
-                    proxy_node = node;
-                    ++uplinkForwards_;
-                } else {
-                    // ...and the proxy fans out to its node-mates.
-                    src = proxy;
+    const std::uint64_t header = headerBytes();
+    for (const auto& [key, sum] : pending_) {
+        const GpuId producer = key.producer;
+        const std::size_t home =
+            hierTopo_ != nullptr ? hierTopo_->nodeOf(producer) : 0;
+        // maskForEach visits ascending GPU ids and nodes are contiguous
+        // id ranges, so each remote node's subscribers arrive
+        // consecutively: tracking only the most recent proxy suffices.
+        GpuId proxy = invalidGpu;
+        std::size_t proxy_node = 0;
+        maskForEach(key.remote, [&](GpuId sub) {
+            GpuId src = producer;
+            if (hierTopo_ != nullptr) {
+                const std::size_t node = hierTopo_->nodeOf(sub);
+                if (node != home) {
+                    if (!hier) {
+                        uplinkForwards_ += sum.messages;
+                    } else if (proxy == invalidGpu || node != proxy_node) {
+                        // First subscriber on this remote node becomes
+                        // the node's proxy: one copy crosses the
+                        // uplink...
+                        proxy = sub;
+                        proxy_node = node;
+                        uplinkForwards_ += sum.messages;
+                    } else {
+                        // ...and the proxy fans out to its node-mates.
+                        src = proxy;
+                    }
                 }
             }
-        }
-        traffic.add(src, sub, payload + headerBytes(), payload);
-        counters.pushedStoreBytes += payload;
-        if (profile_ != nullptr)
-            profile_->noteRemoteWriteForward(vpn, payload);
-    });
+            traffic.add(src, sub, sum.payload + sum.messages * header,
+                        sum.payload);
+        });
+    }
+    pending_.clear();
+    std::fill(lastPending_.begin(), lastPending_.end(), nullptr);
 }
 
 void
@@ -213,7 +235,6 @@ GpsParadigm::handleSysWrite(GpuId gpu, const MemAccess& access,
     // hears about the flush first so its reference model drains with
     // the same pre-collapse subscriber masks the drains below see.
     ctxCounters_ = &counters;
-    ctxTraffic_ = &traffic;
     if (check_ != nullptr)
         check_->noteSysFlush(vpn);
     for (auto& queue : queues_)
@@ -242,9 +263,9 @@ GpsParadigm::endKernel(GpuId gpu, KernelCounters& counters,
 {
     // Implicit release at the end of every grid: full drain (§3.3).
     ctxCounters_ = &counters;
-    ctxTraffic_ = &traffic;
     queues_[gpu]->drainAll();
     sys().gpu(gpu).storeCoalescer().reset();
+    flushForwards(traffic);
 }
 
 void
@@ -520,6 +541,8 @@ GpsParadigm::attachCausal(CausalRecorder* causal)
 void
 GpsParadigm::saveState(snapshot::Serializer& out) const
 {
+    gps_assert(pending_.empty(),
+               "GPS forwards pending outside a phase at snapshot time");
     out.section("paradigm:gps");
     gpsTable_->saveState(out);
     subs_->saveState(out);
@@ -530,7 +553,7 @@ GpsParadigm::saveState(snapshot::Serializer& out) const
     out.u64(units_.size());
     for (const auto& unit : units_)
         unit->saveState(out);
-    // degraded_ keys are (vpn << 6 | gpu); sorted so snapshot bytes never
+    // degraded_ keys are (vpn << 8 | gpu); sorted so snapshot bytes never
     // depend on hash iteration order.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> degraded(
         degraded_.begin(), degraded_.end());

@@ -150,15 +150,22 @@ class GpsParadigm : public Paradigm
 
     /**
      * Deliver one forwarded line (or atomic payload) to every subscriber
-     * other than the producer. On a multi-node topology with
-     * hierarchicalSubscription enabled, each remote node receives exactly
-     * one copy over the uplink (to a proxy subscriber) and the proxy
-     * fans the line out to its node-mates over the local tier.
+     * other than the producer: one message per remote subscriber. The
+     * counters and heat are booked now; the wire traffic joins the
+     * (producer, remote mask) sum that flushForwards() expands.
      */
     void forwardToSubscribers(GpuId producer, const GpuMask& subscribers,
                               PageNum vpn, std::uint32_t payload,
-                              KernelCounters& counters,
-                              TrafficMatrix& traffic);
+                              KernelCounters& counters);
+
+    /**
+     * Expand every pending forward sum into @p traffic and the uplink
+     * count. On a multi-node topology with hierarchicalSubscription
+     * enabled, each remote node receives exactly one copy of a message
+     * over the uplink (to a proxy subscriber) and the proxy fans it out
+     * to its node-mates over the local tier.
+     */
+    void flushForwards(TrafficMatrix& traffic);
     void handleSysWrite(GpuId gpu, const MemAccess& access, PageNum vpn,
                         KernelCounters& counters, TrafficMatrix& traffic);
 
@@ -187,7 +194,47 @@ class GpsParadigm : public Paradigm
 
     /** Drain context: the phase currently being replayed. */
     KernelCounters* ctxCounters_ = nullptr;
-    TrafficMatrix* ctxTraffic_ = nullptr;
+
+    /** One producer's forwards to one remote-subscriber set. */
+    struct ForwardKey
+    {
+        GpuMask remote;
+        GpuId producer = invalidGpu;
+
+        bool operator==(const ForwardKey&) const = default;
+    };
+
+    struct ForwardKeyHash
+    {
+        std::size_t
+        operator()(const ForwardKey& key) const
+        {
+            std::uint64_t h = key.producer;
+            for (std::size_t i = 0; i < GpuMask::words; ++i)
+                h = (h ^ key.remote.word(i)) * 0x9e3779b97f4a7c15ULL;
+            return static_cast<std::size_t>(h ^ (h >> 29));
+        }
+    };
+
+    /** Sums of the forwards of one key since the last flush. */
+    struct ForwardSum
+    {
+        /** Forwarded lines/atomics; each is one message per subscriber. */
+        std::uint64_t messages = 0;
+
+        /** Their payload bytes, counted once (not per subscriber). */
+        std::uint64_t payload = 0;
+    };
+
+    using PendingForwards =
+        std::unordered_map<ForwardKey, ForwardSum, ForwardKeyHash>;
+
+    /** Forwards awaiting flushForwards() (empty between phases). */
+    PendingForwards pending_;
+
+    /** Per producer: its most recently used pending entry, or nullptr
+     *  (unordered_map nodes stay put until the flush clears them). */
+    std::vector<PendingForwards::value_type*> lastPending_;
 
     /** Profile collector, nullptr when profiling is off. */
     ProfileCollector* profile_ = nullptr;

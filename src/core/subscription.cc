@@ -59,12 +59,17 @@ SubscriptionManager::subscribe(PageNum vpn, GpuId gpu)
                "subscribe to non-GPS page ", vpn);
 
     // Mirror pre-existing subscribers (the allocation-time home
-    // replica) into the GPS page table.
-    maskForEach(st.subscribers, [&](GpuId existing) {
-        const Pte* pte = driver_->pageTable(existing).lookup(vpn);
-        if (pte != nullptr && pte->location == existing)
-            table_->addReplica(vpn, existing, pte->ppn);
-    });
+    // replica) into the GPS page table. Only the first subscribe of a
+    // page has any to mirror: every later subscriber enters the table
+    // below, and unsubscribe never empties it (the last subscriber
+    // stays).
+    if (table_->lookup(vpn) == nullptr) {
+        maskForEach(st.subscribers, [&](GpuId existing) {
+            const Pte* pte = driver_->pageTable(existing).lookup(vpn);
+            if (pte != nullptr && pte->location == existing)
+                table_->addReplica(vpn, existing, pte->ppn);
+        });
+    }
 
     if (maskHas(st.subscribers, gpu)) {
         // Keep the GPS page table in sync even for pre-existing
@@ -198,6 +203,10 @@ SubscriptionManager::refreshGpsBit(PageNum vpn)
 {
     PageState& st = driver_->state(vpn);
     const bool multi = maskCount(st.subscribers) >= 2 && !st.collapsed;
+    // Every mapping is created with st.gpsBitSet and only this function
+    // changes it, so the mappings already agree unless the bit flips.
+    if (st.gpsBitSet == multi)
+        return;
     st.gpsBitSet = multi;
     maskForEach(st.mapped, [&](GpuId g) {
         Pte* pte = driver_->pageTable(g).lookupMutable(vpn);

@@ -163,12 +163,17 @@ class ProfileCollector
   public:
     ProfileCollector(std::uint64_t pages_per_bucket, std::size_t top_n);
 
-    /** One cache-line message forwarded to a remote subscriber. */
+    /**
+     * One line (or atomic) of @p vpn forwarded to its remote
+     * subscribers: @p messages cache-line messages, one per subscriber,
+     * carrying @p payload_bytes in total.
+     */
     void
-    noteRemoteWriteForward(PageNum vpn, std::uint64_t payload_bytes)
+    noteRemoteWriteForward(PageNum vpn, std::uint64_t messages,
+                           std::uint64_t payload_bytes)
     {
         PageHeat& h = heat_[bucketOf(vpn)];
-        ++h.remoteWritesForwarded;
+        h.remoteWritesForwarded += messages;
         h.rwqBytes += payload_bytes;
     }
 

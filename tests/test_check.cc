@@ -13,6 +13,8 @@
 #include "api/runner.hh"
 #include "check/check.hh"
 #include "check/differential.hh"
+#include "check/invariants.hh"
+#include "core/gps_paradigm.hh"
 
 namespace gps
 {
@@ -188,6 +190,38 @@ TEST(Check, MutationsDoNotFireOutsideGps)
     ASSERT_NE(result.check, nullptr);
     EXPECT_TRUE(result.check->ok());
     EXPECT_EQ(result.check->refAccesses, 0u);
+}
+
+TEST(Check, FlippedMappingGpsBitIsDetected)
+{
+    // The GPS bit lives on the page state and on every GPU's mapping;
+    // subscribe relies on the mappings agreeing, so one stale mapping
+    // must be reported with its GPU and page.
+    SystemConfig config;
+    config.numGpus = 4;
+    MultiGpuSystem system(config);
+    GpsParadigm paradigm(system);
+    const Region& region =
+        system.driver().mallocGps(2 * 64 * KiB, "gps", 0);
+    paradigm.onSetupComplete(); // subscribe-all: the bit is set
+    const PageNum vpn = system.geometry().pageNum(region.base) + 1;
+    InvariantChecker checker(system, &paradigm);
+
+    CheckReport clean;
+    checker.checkSubscriptions("setup", clean);
+    EXPECT_TRUE(clean.ok()) << describe(clean.findings.front());
+
+    system.driver().pageTable(2).setGpsBit(vpn, false);
+    CheckReport mutated;
+    checker.checkSubscriptions("setup", mutated);
+    ASSERT_EQ(mutated.findings.size(), 1u);
+    const CheckFinding& finding = mutated.findings.front();
+    EXPECT_EQ(finding.invariant, "subscription.gps-bit");
+    EXPECT_EQ(finding.gpu, 2u);
+    EXPECT_TRUE(finding.hasVpn);
+    EXPECT_EQ(finding.vpn, vpn);
+    // The mapping sweep rides on the existing check's count.
+    EXPECT_EQ(mutated.invariantChecks, clean.invariantChecks);
 }
 
 // --- Differential sweep mode ------------------------------------------

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "core/gps_paradigm.hh"
+#include "obs/profile.hh"
 
 namespace gps
 {
@@ -113,7 +117,9 @@ TEST_F(GpsParadigmTest, AtomicsBypassCoalescingAndForwardEach)
     access(0, MemAccess::atomic(region->base, 4));
     EXPECT_EQ(counters.wqAtomicBypass, 2u);
     EXPECT_EQ(counters.wqCoalesced, 0u);
-    // Forwarded immediately, per subscriber.
+    // One message per atomic per subscriber; the wire bytes reach the
+    // phase traffic at the kernel boundary.
+    endKernels();
     const std::uint64_t msg =
         4 + system->topology().spec().headerBytes;
     EXPECT_EQ(traffic->at(0, 1), 2 * msg);
@@ -241,6 +247,175 @@ TEST_F(GpsParadigmTest, SubscriberHistogramReflectsSubscriptions)
     EXPECT_TRUE(paradigm->fillSubscriberHistogram(hist));
     EXPECT_EQ(hist.bucket(2), 1u); // page 0: two subscribers
     EXPECT_EQ(hist.bucket(4), 1u); // page 1: still all four
+}
+
+/**
+ * Hand model of one forwarded message on 16 GPUs in nodes of 8: flat
+ * forwarding sends a copy to every remote subscriber; hierarchical
+ * forwarding sends one uplink copy per remote node to that node's
+ * lowest subscriber, which relays it to its node-mates.
+ */
+void
+expectMessage(TrafficMatrix& want, std::uint64_t& uplinks, GpuId producer,
+              const GpuMask& subscribers, std::uint32_t payload,
+              std::uint64_t header, bool hier)
+{
+    const auto node = [](GpuId g) { return g / 8; };
+    for (GpuId sub = 0; sub < 16; ++sub) {
+        if (sub == producer || !maskHas(subscribers, sub))
+            continue;
+        GpuId src = producer;
+        if (node(sub) != node(producer)) {
+            GpuId proxy = sub;
+            for (GpuId g = node(sub) * 8; g < sub; ++g) {
+                if (maskHas(subscribers, g)) {
+                    proxy = g;
+                    break;
+                }
+            }
+            if (!hier || proxy == sub)
+                ++uplinks;
+            else
+                src = proxy;
+        }
+        want.add(src, sub, payload + header, payload);
+    }
+}
+
+/** Property: per-mask forward sums expanded at endKernel equal a
+ *  message-by-message delivery, flat and hierarchical alike. */
+void
+checkForwardsOnTwoNodes(bool hier)
+{
+    SCOPED_TRACE(hier ? "hierarchical" : "flat");
+    SystemConfig config;
+    config.numGpus = 16;
+    config.numNodes = 2;
+    config.interconnect = InterconnectKind::NvLink3;
+    config.interNode = InterconnectKind::IbNdr;
+    config.gps.hierarchicalSubscription = hier;
+    MultiGpuSystem system(config);
+    GpsParadigm paradigm(system);
+    const Region& region =
+        system.driver().mallocGps(3 * 64 * KiB, "gps", 0);
+    paradigm.onSetupComplete(); // every GPU subscribes to every page
+    ProfileCollector profile(1, 8);
+    paradigm.attachProfile(&profile);
+
+    const PageNum a = system.geometry().pageNum(region.base);
+    const PageNum b = a + 1;
+    const PageNum c = a + 2;
+    const Addr base_a = region.base;
+    const Addr base_b = region.base + 64 * KiB;
+    const Addr base_c = region.base + 2 * 64 * KiB;
+    KernelCounters scratch;
+    for (const GpuId g : {3, 4, 5, 6, 7, 11, 13, 14, 15})
+        paradigm.subscriptions().unsubscribe(b, g, &scratch);
+    const GpuMask all = maskAll(16);
+    const GpuMask mask_b = paradigm.subscriptions().subscribers(b);
+
+    KernelCounters counters;
+    TrafficMatrix traffic(16);
+    const auto access = [&](GpuId gpu, const MemAccess& acc) {
+        const PageNum page = system.geometry().pageNum(acc.vaddr);
+        const bool miss = system.gpu(gpu).tlbAccess(page, counters);
+        paradigm.access(gpu, acc, page, miss, counters, traffic);
+    };
+
+    // Weak stores (one line each) and atomics from producers in both
+    // nodes.
+    for (Addr line = 0; line < 4; ++line)
+        access(1, MemAccess::store(base_a + line * 128));
+    for (Addr line = 0; line < 3; ++line)
+        access(1, MemAccess::store(base_b + line * 128));
+    for (Addr line = 0; line < 2; ++line) {
+        access(9, MemAccess::store(base_a + 1024 + line * 128));
+        access(9, MemAccess::store(base_b + 1024 + line * 128));
+    }
+    access(1, MemAccess::atomic(base_a + 4096, 4));
+    access(1, MemAccess::atomic(base_a + 4096, 4));
+    access(9, MemAccess::atomic(base_b + 4096, 8));
+    // Page C collapses mid-kernel: its buffered lines drain under the
+    // full pre-collapse mask.
+    for (Addr line = 0; line < 3; ++line)
+        access(1, MemAccess::store(base_c + line * 128));
+    access(12, MemAccess::store(base_c + 2048));
+    access(1, MemAccess::sysStore(base_c + 8192));
+    ASSERT_TRUE(system.driver().state(c).collapsed);
+    ASSERT_EQ(counters.wqDrains, 4u); // only page C drained so far
+    // Page B loses a subscriber before its lines drain.
+    paradigm.subscriptions().unsubscribe(b, 10, &scratch);
+    const GpuMask mask_b2 = paradigm.subscriptions().subscribers(b);
+
+    for (GpuId g = 0; g < 16; ++g)
+        paradigm.endKernel(g, counters, traffic);
+    EXPECT_EQ(counters.wqDrains, 15u);
+
+    struct Message
+    {
+        GpuId producer;
+        GpuMask subscribers;
+        std::uint32_t payload;
+        PageNum vpn;
+        int count;
+    };
+    const std::vector<Message> messages = {
+        {1, all, 128, a, 4},     {1, mask_b2, 128, b, 3},
+        {9, all, 128, a, 2},     {9, mask_b2, 128, b, 2},
+        {1, all, 4, a, 2},       {9, mask_b, 8, b, 1},
+        {1, all, 128, c, 3},     {12, all, 128, c, 1},
+    };
+    const std::uint64_t header = system.topology().spec().headerBytes;
+    TrafficMatrix want(16);
+    std::uint64_t uplinks = 0;
+    std::uint64_t pushed = 0;
+    std::map<PageNum, PageHeat> heat;
+    for (const Message& m : messages) {
+        const std::uint64_t fanout =
+            maskCount(maskClear(m.subscribers, m.producer));
+        for (int i = 0; i < m.count; ++i) {
+            expectMessage(want, uplinks, m.producer, m.subscribers,
+                          m.payload, header, hier);
+            pushed += m.payload * fanout;
+            heat[m.vpn].remoteWritesForwarded += fanout;
+            heat[m.vpn].rwqBytes += m.payload * fanout;
+        }
+    }
+
+    for (GpuId src = 0; src < 16; ++src)
+        for (GpuId dst = 0; dst < 16; ++dst)
+            EXPECT_EQ(traffic.at(src, dst), want.at(src, dst))
+                << src << " -> " << dst;
+    EXPECT_EQ(traffic.payload(), want.payload());
+    EXPECT_EQ(paradigm.uplinkForwards(), uplinks);
+    EXPECT_EQ(counters.pushedStoreBytes, pushed);
+    const ProfileReport report = profile.finalize();
+    for (const auto& [vpn, expected] : heat) {
+        const auto row = std::find_if(
+            report.hotPages.begin(), report.hotPages.end(),
+            [vpn = vpn](const HotPage& p) { return p.firstVpn == vpn; });
+        ASSERT_NE(row, report.hotPages.end()) << "page " << vpn;
+        EXPECT_EQ(row->heat.remoteWritesForwarded,
+                  expected.remoteWritesForwarded)
+            << "page " << vpn;
+        EXPECT_EQ(row->heat.rwqBytes, expected.rwqBytes) << "page " << vpn;
+    }
+
+    // A second kernel starts from empty sums.
+    TrafficMatrix next(16);
+    for (GpuId g = 0; g < 16; ++g)
+        paradigm.endKernel(g, counters, next);
+    EXPECT_EQ(next.total(), 0u);
+}
+
+TEST(GpsForwarding, MaskSumsMatchPerMessageDeliveryFlat)
+{
+    checkForwardsOnTwoNodes(false);
+}
+
+TEST(GpsForwarding, MaskSumsMatchPerMessageDeliveryHierarchical)
+{
+    checkForwardsOnTwoNodes(true);
 }
 
 } // namespace

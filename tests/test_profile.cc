@@ -56,10 +56,10 @@ TEST(ProfileCollector, BucketsHeatAndExtractsTopN)
 {
     ProfileCollector collector(/*pages_per_bucket=*/4, /*top_n=*/2);
     // Pages 0..3 share bucket 0; page 8 is bucket 2; page 100 bucket 25.
-    collector.noteRemoteWriteForward(0, 64);
-    collector.noteRemoteWriteForward(3, 64);
-    collector.noteRemoteWriteForward(8, 256);
-    collector.noteRemoteWriteForward(100, 32);
+    collector.noteRemoteWriteForward(0, 1, 64);
+    collector.noteRemoteWriteForward(3, 1, 64);
+    collector.noteRemoteWriteForward(8, 1, 256);
+    collector.noteRemoteWriteForward(100, 1, 32);
     collector.noteSubscriptionFlip(1);
     collector.noteMigration(8);
     collector.setRegionResolver(

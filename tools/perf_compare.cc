@@ -5,15 +5,19 @@
  * Compares the baseline's per-config rows (matched by the "config"
  * label) and the aggregate against the current file:
  *
- *   - replay throughput (macc_per_s): lower by more than the tolerance
- *     is a regression (host-machine dependent — use --soft in CI);
- *   - simulated time (sim_ms) and interconnect bytes: higher by more
- *     than the tolerance is a regression (deterministic outputs, so any
- *     drift is a real behavior change).
+ *   - replay throughput (macc_per_s) and warm fork speedup: lower by
+ *     more than the tolerance is a regression (host-machine dependent —
+ *     use --soft in CI);
+ *   - simulated time (sim_ms) and interconnect bytes: any difference,
+ *     in either direction, is a regression. These are deterministic
+ *     outputs, so drift is a real behavior change, never noise; the
+ *     tolerance does not apply and --soft does not suppress it.
  *
- * Exit codes: 0 clean, 1 regression detected (suppressed by --soft),
- * 2 unreadable/malformed/schema-mismatched input. --soft keeps schema
- * and parse errors fatal, so CI always notices a broken producer.
+ * Exit codes: 0 clean, 1 regression detected (throughput regressions
+ * are suppressed by --soft), 2 unreadable/malformed/schema-mismatched
+ * input. --soft keeps deterministic drift, schema and parse errors
+ * fatal, so CI always notices a changed simulation or a broken
+ * producer.
  *
  * Usage:
  *   perf_compare [--tolerance P% | F] [--soft] baseline.json current.json
@@ -23,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,10 +54,11 @@ usage(const char* argv0)
         stderr,
         "usage: %s [--tolerance P%% | F] [--soft] <baseline.json> "
         "<current.json>\n"
-        "  --tolerance   allowed relative drift (default 5%%); accepts\n"
-        "                '10%%' or a fraction like 0.1\n"
-        "  --soft        report regressions but exit 0 (schema and\n"
-        "                parse errors still exit 2)\n",
+        "  --tolerance   allowed relative throughput drift (default\n"
+        "                5%%); accepts '10%%' or a fraction like 0.1\n"
+        "  --soft        report throughput regressions but exit 0\n"
+        "                (sim_ms/interconnect_bytes drift still exits 1,\n"
+        "                schema and parse errors still exit 2)\n",
         argv0);
     std::exit(2);
 }
@@ -154,6 +160,9 @@ loadPerfLog(const std::string& path)
 struct Comparison
 {
     int regressions = 0;
+
+    /** Regressions in deterministic outputs (never soft). */
+    int drifts = 0;
     int notes = 0;
 
     void
@@ -166,6 +175,16 @@ struct Comparison
     }
 
     void
+    drift(const std::string& what, double base, double cur)
+    {
+        ++regressions;
+        ++drifts;
+        std::printf("REGRESSION  %-40s %.17g -> %.17g  (deterministic "
+                    "output changed)\n",
+                    what.c_str(), base, cur);
+    }
+
+    void
     note(const std::string& what, const std::string& detail)
     {
         ++notes;
@@ -175,27 +194,39 @@ struct Comparison
 };
 
 /**
- * Compare one metric pair. @p worse_when_higher selects the regression
- * direction; improvements are never flagged.
+ * Compare one host-speed metric (higher is better): falling by more
+ * than the tolerance is a regression; improvements are never flagged.
  */
 void
 compareMetric(Comparison& cmp, const std::string& what, double base,
-              double cur, double tolerance, bool worse_when_higher)
+              double cur, double tolerance)
 {
     if (base <= 0.0)
         return; // no meaningful reference
     const double drift = (cur - base) / base;
-    const bool regressed = worse_when_higher ? drift > tolerance
-                                             : drift < -tolerance;
-    if (regressed)
+    if (drift < -tolerance)
         cmp.regression(what, base, cur, drift);
 }
 
+/** Compare a deterministic output: any difference is a drift. */
+void
+compareExact(Comparison& cmp, const std::string& what, double base,
+             double cur)
+{
+    if (cur != base)
+        cmp.drift(what, base, cur);
+}
+
+/**
+ * The @p nth (0-based) run labelled @p label. A log may repeat a label
+ * (one base run per swept page size, say); repeats match in order.
+ */
 const JsonValue*
-findRun(const JsonValue& doc, const std::string& label)
+findRun(const JsonValue& doc, const std::string& label,
+        std::size_t nth = 0)
 {
     for (const JsonValue& run : doc.find("runs")->items())
-        if (run.string("config") == label)
+        if (run.string("config") == label && nth-- == 0)
             return &run;
     return nullptr;
 }
@@ -213,7 +244,7 @@ main(int argc, char** argv)
 
     // Aggregate throughput.
     compareMetric(cmp, "total.macc_per_s", base->number("macc_per_s"),
-                  cur->number("macc_per_s"), opt.tolerance, false);
+                  cur->number("macc_per_s"), opt.tolerance);
 
     // Warm-start fork efficiency: mean leader wall over mean follower
     // wall. Falling below the baseline means warm forking stopped
@@ -226,8 +257,7 @@ main(int argc, char** argv)
         cur_warm->number("fork_speedup") > 0.0)
         compareMetric(cmp, "warm.fork_speedup",
                       base_warm->number("fork_speedup"),
-                      cur_warm->number("fork_speedup"), opt.tolerance,
-                      false);
+                      cur_warm->number("fork_speedup"), opt.tolerance);
     else if (base_warm != nullptr && cur_warm != nullptr &&
              base_warm->number("fork_speedup") > 0.0)
         cmp.note("warm.fork_speedup",
@@ -235,22 +265,22 @@ main(int argc, char** argv)
 
     // Per-config rows, matched by label. Rows only in one file are
     // informational: grids legitimately grow and shrink.
+    std::map<std::string, std::size_t> seen;
     for (const JsonValue& run : base->find("runs")->items()) {
         const std::string label = run.string("config");
-        const JsonValue* match = findRun(*cur, label);
+        const JsonValue* match = findRun(*cur, label, seen[label]++);
         if (match == nullptr) {
             cmp.note(label, "missing from current file");
             continue;
         }
         compareMetric(cmp, label + ".macc_per_s",
                       run.number("macc_per_s"),
-                      match->number("macc_per_s"), opt.tolerance, false);
-        compareMetric(cmp, label + ".sim_ms", run.number("sim_ms"),
-                      match->number("sim_ms"), opt.tolerance, true);
-        compareMetric(cmp, label + ".interconnect_bytes",
-                      run.number("interconnect_bytes"),
-                      match->number("interconnect_bytes"), opt.tolerance,
-                      true);
+                      match->number("macc_per_s"), opt.tolerance);
+        compareExact(cmp, label + ".sim_ms", run.number("sim_ms"),
+                     match->number("sim_ms"));
+        compareExact(cmp, label + ".interconnect_bytes",
+                     run.number("interconnect_bytes"),
+                     match->number("interconnect_bytes"));
     }
     for (const JsonValue& run : cur->find("runs")->items()) {
         const std::string label = run.string("config");
@@ -259,10 +289,12 @@ main(int argc, char** argv)
     }
 
     const std::size_t base_runs = base->find("runs")->items().size();
-    std::printf("%d regression(s), %d note(s) over %zu baseline row(s) "
-                "(tolerance %.1f%%)\n",
-                cmp.regressions, cmp.notes, base_runs,
+    std::printf("%d regression(s) (%d deterministic), %d note(s) over "
+                "%zu baseline row(s) (tolerance %.1f%%)\n",
+                cmp.regressions, cmp.drifts, cmp.notes, base_runs,
                 opt.tolerance * 100.0);
+    if (cmp.drifts > 0)
+        return 1;
     if (cmp.regressions > 0)
         return opt.soft ? 0 : 1;
     return 0;
