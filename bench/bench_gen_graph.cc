@@ -101,11 +101,17 @@ main(int argc, char** argv)
     gps::setVerbose(false);
     const std::size_t jobs = parseJobs(argc, argv);
     benchmark::Initialize(&argc, argv);
-    for (const std::string& app : appNames) {
-        for (const ParadigmKind paradigm : paradigms)
-            plan().addWithBaseline(app, cellConfig(paradigm),
-                                   cellLabel(app, paradigm));
-    }
+    // Two waves: the cold cells (with the baselines), then the warm
+    // cells. In one wave with --jobs >= 2 a warm cell would race its
+    // cold cell for the same workload-cache entry, and its wall would
+    // include the build in flight.
+    for (const std::string& app : appNames)
+        plan().addWithBaseline(app, cellConfig(paradigms[0]),
+                               cellLabel(app, paradigms[0]));
+    plan().run(jobs);
+    for (const std::string& app : appNames)
+        plan().add(app, cellConfig(paradigms[1]),
+                   cellLabel(app, paradigms[1]));
     plan().run(jobs);
     benchmark::Shutdown();
     const bool ok = printTable();

@@ -108,8 +108,10 @@ class GroupStream : public AccessStream
         while (groupIdx_ < groups_.size()) {
             Group& group = groups_[groupIdx_];
             const std::size_t nb = group.bursts.size();
-            for (std::size_t probe = 0; probe < nb; ++probe) {
-                const std::size_t b = (cursor_ + probe) % nb;
+            // cursor_ < nb, so the round-robin index wraps at most once.
+            std::size_t b = cursor_;
+            for (std::size_t probe = 0; probe < nb;
+                 ++probe, b = b + 1 == nb ? 0 : b + 1) {
                 if (pos_[b] < group.bursts[b].count) {
                     const Burst& burst = group.bursts[b];
                     out.vaddr = static_cast<Addr>(
@@ -120,7 +122,7 @@ class GroupStream : public AccessStream
                     out.type = burst.type;
                     out.scope = burst.scope;
                     ++pos_[b];
-                    cursor_ = (b + 1) % nb;
+                    cursor_ = b + 1 == nb ? 0 : b + 1;
                     return true;
                 }
             }

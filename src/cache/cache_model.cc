@@ -8,46 +8,63 @@
 namespace gps
 {
 
+namespace
+{
+
+/** Set count of a cache geometry, rejecting one with no set. */
+std::size_t
+setCount(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
+         std::uint32_t ways)
+{
+    gps_assert(line_bytes > 0 && ways > 0,
+               "cache needs a line size and at least one way");
+    const std::uint64_t sets = capacity_bytes / line_bytes / ways;
+    gps_assert(sets > 0, "cache too small: ", capacity_bytes, " bytes");
+    return static_cast<std::size_t>(sets);
+}
+
+} // namespace
+
 CacheModel::CacheModel(std::string name, std::uint64_t capacity_bytes,
                        std::uint32_t line_bytes, std::uint32_t ways)
     : SimObject(std::move(name)), capacityBytes_(capacity_bytes),
       lineBytes_(line_bytes), ways_(ways),
-      sets_(capacity_bytes / line_bytes / ways),
-      lines_(sets_ * ways), resident_(regionSlots, 0)
+      sets_(setCount(capacity_bytes, line_bytes, ways)),
+      lineDiv_(line_bytes), setDiv_(sets_), lines_(sets_),
+      resident_(regionSlots, 0)
 {
-    gps_assert(sets_ > 0, "cache too small: ", capacity_bytes, " bytes");
     gps_assert(capacity_bytes % (static_cast<std::uint64_t>(line_bytes) *
                                  ways) == 0,
                "cache capacity not divisible by line*ways");
 }
 
 CacheResult
-CacheModel::access(Addr addr, bool is_write)
+CacheModel::fill(std::uint64_t line, std::uint64_t tag,
+                 std::size_t set_index, std::uint64_t dirty)
 {
-    const std::uint64_t line = lineNum(addr);
-    const std::uint64_t tag = line / sets_;
-    const std::size_t set_index = setIndex(line);
-    Line* set = &lines_[set_index * ways_];
-    const std::uint64_t dirty = is_write ? dirtyBit : 0;
-
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid() && set[w].tag == tag) {
-            set[w].meta = (++useClock_ << stampShift) |
-                          (set[w].meta & dirtyBit) | dirty | validBit;
-            ++hits_;
-            return {true, 0};
-        }
-    }
-
     ++misses_;
-    Line* victim = &set[0];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
+    Line* set = &lines_[set_index * stride_];
+    // First invalid way, else the least recently used (first on ties);
+    // the oldest stamp stays in a register rather than behind a pointer.
+    std::uint32_t way = 0;
+    std::uint64_t oldest = set[0].lastUse();
+    for (std::uint32_t w = 0; w < stride_; ++w) {
         if (!set[w].valid()) {
-            victim = &set[w];
+            way = w;
             break;
         }
-        if (set[w].lastUse() < victim->lastUse())
-            victim = &set[w];
+        if (set[w].lastUse() < oldest) {
+            oldest = set[w].lastUse();
+            way = w;
+        }
+    }
+    Line* victim = &set[way];
+    if (victim->valid() && stride_ < ways_) {
+        // Every stored way is valid, so the first invalid way is the
+        // first unstored one, which no set has filled yet.
+        way = stride_;
+        growStride();
+        victim = &lines_[set_index * stride_ + way];
     }
 
     CacheResult result{false, 0};
@@ -65,14 +82,24 @@ CacheModel::access(Addr addr, bool is_write)
     return result;
 }
 
+void
+CacheModel::growStride()
+{
+    const std::uint32_t stride = std::min(2 * stride_, ways_);
+    std::vector<Line> lines(sets_ * stride);
+    for (std::size_t s = 0; s < sets_; ++s)
+        std::copy_n(&lines_[s * stride_], stride_, &lines[s * stride]);
+    lines_ = std::move(lines);
+    stride_ = stride;
+}
+
 bool
 CacheModel::contains(Addr addr) const
 {
-    const std::uint64_t line = lineNum(addr);
-    const std::uint64_t tag = line / sets_;
-    const Line* set = &lines_[setIndex(line) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid() && set[w].tag == tag)
+    const auto [tag, set_index] = slotOf(lineNum(addr));
+    const Line* set = &lines_[set_index * stride_];
+    for (std::uint32_t w = 0; w < stride_; ++w) {
+        if (set[w].tag == tag && set[w].valid())
             return true;
     }
     return false;
@@ -83,23 +110,25 @@ CacheModel::invalidatePage(Addr page_base, std::uint64_t page_bytes)
 {
     std::uint64_t writeback = 0;
     const std::uint64_t first = lineNum(page_base);
-    const std::uint64_t end = first + page_bytes / lineBytes_;
+    const std::uint64_t end = first + lineDiv_.quot(page_bytes);
     for (std::uint64_t l = first; l < end;) {
         // Lines [l, next) start inside one region; its count slot is
         // zero only if no line of the region (or an alias) is resident.
         const std::uint64_t region = regionOf(l);
         const std::uint64_t region_end = (region + 1) << regionShift;
+        const std::uint64_t region_lines = lineDiv_.quot(region_end);
         const std::uint64_t next =
             region_end == 0 // the top region of the address space
                 ? end
-                : std::min(end, region_end / lineBytes_ +
-                                    (region_end % lineBytes_ != 0));
+                : std::min(end, region_lines +
+                                    (region_lines * lineBytes_ !=
+                                     region_end));
         std::uint32_t& resident = residentIn(region);
         for (; l < next && resident != 0; ++l) {
-            const std::uint64_t tag = l / sets_;
-            Line* set = &lines_[setIndex(l) * ways_];
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                if (set[w].valid() && set[w].tag == tag) {
+            const auto [tag, set_index] = slotOf(l);
+            Line* set = &lines_[set_index * stride_];
+            for (std::uint32_t w = 0; w < stride_; ++w) {
+                if (set[w].tag == tag && set[w].valid()) {
                     if (set[w].dirty()) {
                         ++writebacks_;
                         writeback += lineBytes_;
@@ -130,26 +159,58 @@ CacheModel::flushAll()
 }
 
 void
+CacheModel::saveState(snapshot::Serializer& out) const
+{
+    out.section("cache");
+    out.u64(sets_ * ways_);
+    const Line never_filled;
+    for (std::size_t s = 0; s < sets_; ++s) {
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            const Line& l =
+                w < stride_ ? lines_[s * stride_ + w] : never_filled;
+            out.u64(l.tag);
+            out.b(l.valid());
+            out.b(l.dirty());
+            out.u64(l.lastUse());
+        }
+    }
+    out.u64(useClock_);
+    out.u64(hits_);
+    out.u64(misses_);
+    out.u64(evictions_);
+    out.u64(writebacks_);
+}
+
+void
 CacheModel::restoreState(snapshot::Deserializer& in)
 {
     in.section("cache");
-    if (in.u64() != lines_.size())
+    if (in.u64() != sets_ * ways_)
         throw snapshot::SnapshotError(
             "snapshot cache geometry differs from the configured cache");
+    lines_.assign(sets_, Line{});
+    stride_ = 1;
     std::fill(resident_.begin(), resident_.end(), 0);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        Line& l = lines_[i];
-        l.tag = in.u64();
-        const bool valid = in.b();
-        const bool dirty = in.b();
-        const std::uint64_t last_use = in.u64();
-        if (last_use > maxUseClock)
-            throw snapshot::SnapshotError(
-                "snapshot cache line LRU stamp out of range");
-        l.meta = (last_use << stampShift) | (dirty ? dirtyBit : 0) |
-                 (valid ? validBit : 0);
-        if (valid)
-            ++residentIn(regionOf(l.tag * sets_ + i / ways_));
+    for (std::size_t s = 0; s < sets_; ++s) {
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            const std::uint64_t tag = in.u64();
+            const bool valid = in.b();
+            const bool dirty = in.b();
+            const std::uint64_t last_use = in.u64();
+            if (last_use > maxUseClock)
+                throw snapshot::SnapshotError(
+                    "snapshot cache line LRU stamp out of range");
+            if (tag == 0 && !valid && !dirty && last_use == 0)
+                continue; // never filled, as every unstored way reads
+            while (w >= stride_)
+                growStride();
+            Line& l = lines_[s * stride_ + w];
+            l.tag = tag;
+            l.meta = (last_use << stampShift) | (dirty ? dirtyBit : 0) |
+                     (valid ? validBit : 0);
+            if (valid)
+                ++residentIn(regionOf(tag * sets_ + s));
+        }
     }
     useClock_ = in.u64();
     if (useClock_ > maxUseClock)

@@ -10,6 +10,15 @@
  * count of resident lines per 64 KB address region so page invalidation
  * skips regions it holds nothing of: at 128-256 GPUs almost every
  * barrier-time invalidation lands on a GPU that never cached the page.
+ *
+ * Ways are stored only as far as some set has filled them. A fill takes
+ * the first invalid way in index order, so a set fills way w only once
+ * ways 0..w-1 all hold valid lines, and a way no set has reached holds
+ * a never-filled line. The lines sit set-major at a per-cache stride
+ * that starts at one way and doubles (capped at the associativity) the
+ * first time a fill finds every stored way of its set valid; 128-256
+ * GPU runs fill a fraction of each GPU's 16 ways. Tag and set come from
+ * exact multiply-shift dividers (the Table 1 L2 has 3,072 sets).
  */
 
 #ifndef GPS_CACHE_CACHE_MODEL_HH
@@ -19,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/divider.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
 #include "snapshot/serial.hh"
@@ -53,7 +63,23 @@ class CacheModel : public SimObject
      * @param addr byte address
      * @param is_write marks the line dirty
      */
-    CacheResult access(Addr addr, bool is_write);
+    CacheResult
+    access(Addr addr, bool is_write)
+    {
+        const std::uint64_t line = lineNum(addr);
+        const auto [tag, set_index] = slotOf(line);
+        Line* set = &lines_[set_index * stride_];
+        const std::uint64_t dirty = is_write ? dirtyBit : 0;
+        for (std::uint32_t w = 0; w < stride_; ++w) {
+            if (set[w].tag == tag && set[w].valid()) {
+                set[w].meta = (++useClock_ << stampShift) |
+                              (set[w].meta & dirtyBit) | dirty | validBit;
+                ++hits_;
+                return {true, 0};
+            }
+        }
+        return fill(line, tag, set_index, dirty);
+    }
 
     /** Probe without side effects. */
     bool contains(Addr addr) const;
@@ -68,6 +94,10 @@ class CacheModel : public SimObject
 
     std::uint32_t lineBytes() const { return lineBytes_; }
     std::uint64_t capacityBytes() const { return capacityBytes_; }
+
+    /** Ways stored per set: the first of 1, 2, 4, ... (capped at the
+     *  associativity) past every way any set has filled. */
+    std::uint32_t storedWays() const { return stride_; }
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -99,29 +129,18 @@ class CacheModel : public SimObject
      *  valid and dirty flags take the low two bits (stampShift). */
     static constexpr std::uint64_t maxUseClock = ~std::uint64_t(0) >> 2;
 
-    /** Serialize every line, the LRU clock, and the counters. */
-    void
-    saveState(snapshot::Serializer& out) const
-    {
-        out.section("cache");
-        out.u64(lines_.size());
-        for (const Line& l : lines_) {
-            out.u64(l.tag);
-            out.b(l.valid());
-            out.b(l.dirty());
-            out.u64(l.lastUse());
-        }
-        out.u64(useClock_);
-        out.u64(hits_);
-        out.u64(misses_);
-        out.u64(evictions_);
-        out.u64(writebacks_);
-    }
+    /**
+     * Serialize every line of every way, the LRU clock, and the
+     * counters; ways not stored go out as never-filled lines (tag 0,
+     * invalid, clean, stamp 0).
+     */
+    void saveState(snapshot::Serializer& out) const;
 
     /**
      * Counterpart of saveState; geometry must match this instance and
      * every LRU stamp must fit the packed line. Rebuilds the
-     * resident-line counts.
+     * resident-line counts, and stores ways up to the highest one
+     * holding any non-zero field (the stride a live fill would grow).
      */
     void restoreState(snapshot::Deserializer& in);
 
@@ -145,8 +164,28 @@ class CacheModel : public SimObject
     };
     static_assert(sizeof(Line) == 16);
 
-    std::uint64_t lineNum(Addr addr) const { return addr / lineBytes_; }
-    std::size_t setIndex(std::uint64_t line) const { return line % sets_; }
+    std::uint64_t lineNum(Addr addr) const { return lineDiv_.quot(addr); }
+
+    /** Where a line lives: its tag within set @p set. */
+    struct Slot
+    {
+        std::uint64_t tag;
+        std::size_t set;
+    };
+
+    Slot
+    slotOf(std::uint64_t line) const
+    {
+        const std::uint64_t tag = setDiv_.quot(line);
+        return {tag, static_cast<std::size_t>(line - tag * sets_)};
+    }
+
+    /** Miss path of access(): pick the victim way and install @p tag. */
+    CacheResult fill(std::uint64_t line, std::uint64_t tag,
+                     std::size_t set_index, std::uint64_t dirty);
+
+    /** Double the stored ways (capped at ways_), re-laying out sets. */
+    void growStride();
 
     /** Region of the line's first byte. */
     std::uint64_t
@@ -166,7 +205,12 @@ class CacheModel : public SimObject
     std::uint32_t lineBytes_;
     std::uint32_t ways_;
     std::size_t sets_;
+    Divider lineDiv_;
+    Divider setDiv_;
+
+    /** sets_ x stride_ lines, set-major; ways >= stride_ never filled. */
     std::vector<Line> lines_;
+    std::uint32_t stride_ = 1;
     std::uint64_t useClock_ = 0;
 
     /** Valid lines per region slot; exact at every public call. */

@@ -1,8 +1,9 @@
 /**
  * @file
- * Table-based IEEE CRC32 (the zlib polynomial), shared by every
+ * IEEE CRC32 (the zlib polynomial), slice-by-8, shared by every
  * subsystem that checksums on-disk bytes: the binary trace format
- * (src/trace) and the content-addressed run store (src/serve).
+ * (src/trace), GPSSNAP snapshots (src/snapshot) and the
+ * content-addressed run store (src/serve).
  */
 
 #ifndef GPS_COMMON_CRC32_HH

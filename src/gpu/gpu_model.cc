@@ -102,29 +102,6 @@ GpuModel::GpuModel(GpuId id, const GpuConfig& config, PageGeometry geometry)
 {
 }
 
-void
-GpuModel::l2Path(Addr addr, bool is_write, KernelCounters& counters)
-{
-    const CacheResult result = l2_->access(addr, is_write);
-    if (result.hit) {
-        ++counters.l2Hits;
-    } else {
-        ++counters.l2Misses;
-        counters.dramBytes += config_.cacheLineBytes;
-    }
-    counters.dramBytes += result.writebackBytes;
-}
-
-bool
-GpuModel::tlbAccess(PageNum vpn, KernelCounters& counters)
-{
-    if (tlb_->lookup(vpn))
-        return false;
-    ++counters.tlbMisses;
-    tlb_->fill(vpn);
-    return true;
-}
-
 Tick
 GpuModel::kernelTime(const KernelCounters& counters,
                      const Topology& topology) const

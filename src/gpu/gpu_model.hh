@@ -87,14 +87,33 @@ class GpuModel : public SimObject
      * Drive one access through the local L2 towards DRAM, updating
      * @p counters (hits/misses/DRAM bytes).
      */
-    void l2Path(Addr addr, bool is_write, KernelCounters& counters);
+    void
+    l2Path(Addr addr, bool is_write, KernelCounters& counters)
+    {
+        const CacheResult result = l2_->access(addr, is_write);
+        if (result.hit) {
+            ++counters.l2Hits;
+        } else {
+            ++counters.l2Misses;
+            counters.dramBytes += config_.cacheLineBytes;
+        }
+        counters.dramBytes += result.writebackBytes;
+    }
 
     /**
      * Model the conventional TLB for @p vpn: on a miss the entry is
      * filled and the miss counted (page-walk cost lands in timing).
      * @return true if the access missed (used by the GPS access tracker).
      */
-    bool tlbAccess(PageNum vpn, KernelCounters& counters);
+    bool
+    tlbAccess(PageNum vpn, KernelCounters& counters)
+    {
+        if (tlb_->lookup(vpn))
+            return false;
+        ++counters.tlbMisses;
+        tlb_->fill(vpn);
+        return true;
+    }
 
     /**
      * Analytic duration of a kernel with the given event counts.

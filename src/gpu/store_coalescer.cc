@@ -8,7 +8,7 @@ namespace gps
 
 StoreCoalescer::StoreCoalescer(std::string name, std::uint32_t depth,
                                std::uint32_t line_bytes)
-    : SimObject(std::move(name)), depth_(depth), lineBytes_(line_bytes),
+    : SimObject(std::move(name)), depth_(depth), lineDiv_(line_bytes),
       lines_(depth, 0)
 {
     gps_assert(depth > 0, "coalescer depth must be positive");
@@ -17,15 +17,18 @@ StoreCoalescer::StoreCoalescer(std::string name, std::uint32_t depth,
 bool
 StoreCoalescer::absorb(Addr addr)
 {
-    const std::uint64_t line = addr / lineBytes_;
+    const std::uint64_t line = lineDiv_.quot(addr);
+    // Newest first: from the slot before head_ backwards, wrapping.
+    std::uint32_t slot = head_;
     for (std::uint32_t i = 0; i < valid_; ++i) {
-        if (lines_[(head_ + depth_ - 1 - i) % depth_] == line) {
+        slot = slot == 0 ? depth_ - 1 : slot - 1;
+        if (lines_[slot] == line) {
             ++absorbed_;
             return true;
         }
     }
     lines_[head_] = line;
-    head_ = (head_ + 1) % depth_;
+    head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
     if (valid_ < depth_)
         ++valid_;
     ++forwarded_;

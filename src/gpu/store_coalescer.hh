@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/divider.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
 #include "snapshot/serial.hh"
@@ -82,13 +83,16 @@ class StoreCoalescer : public SimObject
             line = in.u64();
         head_ = in.u32();
         valid_ = in.u32();
+        if (head_ >= depth_ || valid_ > depth_)
+            throw snapshot::SnapshotError(
+                "snapshot coalescer cursor out of range");
         absorbed_ = in.u64();
         forwarded_ = in.u64();
     }
 
   private:
     std::uint32_t depth_;
-    std::uint32_t lineBytes_;
+    Divider lineDiv_;
     std::vector<std::uint64_t> lines_; ///< circular buffer of line numbers
     std::uint32_t head_ = 0;
     std::uint32_t valid_ = 0;

@@ -6,29 +6,26 @@
 namespace gps
 {
 
-Tlb::Tlb(std::string name, std::size_t entries, std::size_t ways)
-    : SimObject(std::move(name)), sets_(entries / ways), ways_(ways),
-      entries_(entries)
+namespace
+{
+
+/** Set count of a TLB geometry, rejecting one that does not divide. */
+std::size_t
+setCount(std::size_t entries, std::size_t ways)
 {
     gps_assert(ways > 0 && entries % ways == 0,
                "TLB entries (", entries, ") not a multiple of ways (", ways,
                ")");
-    gps_assert(sets_ > 0, "TLB must have at least one set");
+    gps_assert(entries / ways > 0, "TLB must have at least one set");
+    return entries / ways;
 }
 
-bool
-Tlb::lookup(PageNum vpn)
+} // namespace
+
+Tlb::Tlb(std::string name, std::size_t entries, std::size_t ways)
+    : SimObject(std::move(name)), sets_(setCount(entries, ways)),
+      ways_(ways), setDiv_(sets_), entries_(entries)
 {
-    Entry* set = &entries_[setIndex(vpn) * ways_];
-    for (std::size_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].vpn == vpn) {
-            set[w].lastUse = ++useClock_;
-            ++hits_;
-            return true;
-        }
-    }
-    ++misses_;
-    return false;
 }
 
 void
@@ -37,7 +34,7 @@ Tlb::fill(PageNum vpn)
     Entry* set = &entries_[setIndex(vpn) * ways_];
     Entry* victim = &set[0];
     for (std::size_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].vpn == vpn) {
+        if (set[w].vpn == vpn && set[w].valid) {
             // Already present (e.g. racing fill); refresh LRU only.
             set[w].lastUse = ++useClock_;
             return;
@@ -61,7 +58,7 @@ Tlb::contains(PageNum vpn) const
 {
     const Entry* set = &entries_[setIndex(vpn) * ways_];
     for (std::size_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].vpn == vpn)
+        if (set[w].vpn == vpn && set[w].valid)
             return true;
     }
     return false;
@@ -72,7 +69,7 @@ Tlb::invalidate(PageNum vpn)
 {
     Entry* set = &entries_[setIndex(vpn) * ways_];
     for (std::size_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].vpn == vpn) {
+        if (set[w].vpn == vpn && set[w].valid) {
             set[w].valid = false;
             ++shootdowns_;
             return;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/divider.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
 #include "snapshot/serial.hh"
@@ -35,7 +36,20 @@ class Tlb : public SimObject
      * Probe for @p vpn, updating LRU on hit.
      * @return true on hit.
      */
-    bool lookup(PageNum vpn);
+    bool
+    lookup(PageNum vpn)
+    {
+        Entry* set = &entries_[setIndex(vpn) * ways_];
+        for (std::size_t w = 0; w < ways_; ++w) {
+            if (set[w].vpn == vpn && set[w].valid) {
+                set[w].lastUse = ++useClock_;
+                ++hits_;
+                return true;
+            }
+        }
+        ++misses_;
+        return false;
+    }
 
     /** Insert @p vpn, evicting the set's LRU entry if needed. */
     void fill(PageNum vpn);
@@ -109,10 +123,11 @@ class Tlb : public SimObject
         std::uint64_t lastUse = 0;
     };
 
-    std::size_t setIndex(PageNum vpn) const { return vpn % sets_; }
+    std::size_t setIndex(PageNum vpn) const { return setDiv_.rem(vpn); }
 
     std::size_t sets_;
     std::size_t ways_;
+    Divider setDiv_;
     std::vector<Entry> entries_;
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;

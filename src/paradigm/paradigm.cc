@@ -93,13 +93,6 @@ Paradigm::access(GpuId gpu, const MemAccess& access, PageNum vpn,
 }
 
 void
-Paradigm::localAccess(GpuId gpu, const MemAccess& access,
-                      KernelCounters& counters)
-{
-    sys().gpu(gpu).l2Path(access.vaddr, access.isWrite(), counters);
-}
-
-void
 Paradigm::remoteLoad(GpuId gpu, GpuId owner, const MemAccess& access,
                      KernelCounters& counters, TrafficMatrix& traffic)
 {

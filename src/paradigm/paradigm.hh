@@ -287,8 +287,12 @@ class Paradigm : public SimObject
     std::uint32_t headerBytes() const;
 
     /** Service an access from the issuing GPU's local L2/DRAM. */
-    void localAccess(GpuId gpu, const MemAccess& access,
-                     KernelCounters& counters);
+    void
+    localAccess(GpuId gpu, const MemAccess& access,
+                KernelCounters& counters)
+    {
+        sys().gpu(gpu).l2Path(access.vaddr, access.isWrite(), counters);
+    }
 
     /** Demand load from @p owner's memory (stall-prone). */
     void remoteLoad(GpuId gpu, GpuId owner, const MemAccess& access,

@@ -10,6 +10,7 @@
 
 #include "cache/cache_model.hh"
 #include "common/rng.hh"
+#include "common/stats.hh"
 #include "common/units.hh"
 
 namespace gps
@@ -323,8 +324,9 @@ saved(const CacheModel& cache)
     return out.bytes();
 }
 
-/** Property: the packed, region-skipping model matches the reference
- *  op for op, including its snapshot bytes and every count slot. */
+/** Property: the packed, region-skipping model that stores only the
+ *  ways it has filled matches the full-width reference op for op,
+ *  including its snapshot bytes and every count slot. */
 TEST(CacheModel, MatchesBruteForceReferenceUnderRandomOps)
 {
     // Bases 1 GB apart alias in the count table; the 2 MB windows at
@@ -335,9 +337,22 @@ TEST(CacheModel, MatchesBruteForceReferenceUnderRandomOps)
                                      alias + 6 * MiB + 64 * KiB};
     const std::vector<std::uint64_t> pages = {4 * KiB, 64 * KiB,
                                               2 * MiB};
-    for (const auto& [capacity, ways] :
-         {std::pair<std::uint64_t, std::uint32_t>{16 * KiB, 4},
-          {256 * KiB, 16}}) {
+    struct Geometry
+    {
+        std::uint64_t capacity;
+        std::uint32_t ways;
+        int ops;
+
+        /** Ops between count-slot sweeps (the reference scans every
+         *  line per slot, so large caches sweep less often). */
+        int slotEvery;
+    };
+    for (const auto& [capacity, ways, ops, slot_every] :
+         {Geometry{16 * KiB, 4, 20000, 64}, {256 * KiB, 16, 20000, 64},
+          // Table 1: 3,072 sets, not a power of two.
+          {6 * MiB, 16, 10000, 2500},
+          // 12 ways: the stored ways grow 1, 2, 4, 8, then cap at 12.
+          {40 * 12 * 128, 12, 20000, 64}}) {
         Rng rng(capacity + ways);
         auto cache =
             std::make_unique<CacheModel>("l2", capacity, 128, ways);
@@ -345,7 +360,7 @@ TEST(CacheModel, MatchesBruteForceReferenceUnderRandomOps)
         const auto pick = [&] {
             return bases[rng.below(bases.size())] + rng.below(2 * MiB);
         };
-        for (int op = 0; op < 20000; ++op) {
+        for (int op = 0; op < ops; ++op) {
             const std::uint64_t kind = rng.below(100);
             if (kind < 85) {
                 const Addr addr = pick();
@@ -377,7 +392,7 @@ TEST(CacheModel, MatchesBruteForceReferenceUnderRandomOps)
             const Addr probe = pick();
             ASSERT_EQ(cache->contains(probe), ref.contains(probe))
                 << "op " << op;
-            if (op % 64 == 0) {
+            if (op % slot_every == 0) {
                 for (const Addr base : bases)
                     for (Addr a = base; a < base + 2 * MiB; a += 64 * KiB)
                         ASSERT_EQ(cache->residentInSlotOf(a),
@@ -387,6 +402,114 @@ TEST(CacheModel, MatchesBruteForceReferenceUnderRandomOps)
         }
         EXPECT_EQ(saved(*cache), ref.snapshot());
     }
+}
+
+/** The cache's eviction count, as its stats report it. */
+double
+evictions(const CacheModel& cache)
+{
+    StatSet stats;
+    cache.exportStats(stats);
+    return stats.get("l2.evictions");
+}
+
+/** Address of the @p k-th line that maps to set @p set. */
+Addr
+lineInSet(const CacheModel& cache, std::uint64_t sets, std::uint64_t set,
+          std::uint64_t k)
+{
+    return (k * sets + set) * cache.lineBytes();
+}
+
+TEST(CacheModel, StoredWaysGrowOnlyAsSetsFill)
+{
+    CacheModel cache("l2", 6 * MiB, 128, 16);
+    const std::uint64_t sets = 6 * MiB / 128 / 16;
+    EXPECT_EQ(cache.storedWays(), 1u);
+
+    // One line in every set fills way 0 only.
+    for (std::uint64_t set = 0; set < sets; ++set)
+        cache.access(lineInSet(cache, sets, set, 0), true);
+    EXPECT_EQ(cache.storedWays(), 1u);
+
+    // A second line in one set needs way 1.
+    cache.access(lineInSet(cache, sets, 7, 1), false);
+    EXPECT_EQ(cache.storedWays(), 2u);
+
+    // A miss that finds an invalid stored way reuses it.
+    cache.invalidatePage(lineInSet(cache, sets, 7, 0), 128);
+    cache.access(lineInSet(cache, sets, 7, 2), false);
+    EXPECT_EQ(cache.storedWays(), 2u);
+    EXPECT_TRUE(cache.contains(lineInSet(cache, sets, 7, 1)));
+    EXPECT_TRUE(cache.contains(lineInSet(cache, sets, 7, 2)));
+
+    // Filling one set to its associativity stores every way; the lines
+    // already held survive each re-layout.
+    for (std::uint64_t k = 3; k < 18; ++k)
+        cache.access(lineInSet(cache, sets, 9, k), false);
+    EXPECT_EQ(cache.storedWays(), 16u);
+    for (std::uint64_t set = 0; set < sets; ++set)
+        ASSERT_EQ(cache.contains(lineInSet(cache, sets, set, 0)), set != 7)
+            << "set " << set;
+    EXPECT_TRUE(cache.contains(lineInSet(cache, sets, 7, 1)));
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(evictions(cache), 0.0);
+}
+
+TEST(CacheModel, StoredWaysCapAtAssociativityNotAPowerOfTwo)
+{
+    CacheModel cache("l2", 5 * 12 * 128, 128, 12); // 5 sets, 12 ways
+    std::vector<std::uint32_t> seen;
+    for (std::uint64_t k = 0; k < 13; ++k) {
+        cache.access(lineInSet(cache, 5, 3, k), false);
+        seen.push_back(cache.storedWays());
+    }
+    EXPECT_EQ(seen, (std::vector<std::uint32_t>{1, 2, 4, 4, 8, 8, 8, 8,
+                                                12, 12, 12, 12, 12}));
+    // The 13th line evicted the LRU way (the first line).
+    EXPECT_EQ(evictions(cache), 1.0);
+    EXPECT_FALSE(cache.contains(lineInSet(cache, 5, 3, 0)));
+}
+
+TEST(CacheModel, RestoreRebuildsStoredWaysAndResavesIdentically)
+{
+    const std::uint64_t sets = 6 * MiB / 128 / 16;
+    CacheModel cache("l2", 6 * MiB, 128, 16);
+    // Three lines in set 1 store four ways; invalidating and flushing
+    // leaves the ways stored (their stamps are not zero).
+    for (std::uint64_t k = 0; k < 3; ++k)
+        cache.access(lineInSet(cache, sets, 1, k), k == 2);
+    cache.invalidatePage(lineInSet(cache, sets, 1, 2), 128);
+    cache.access(lineInSet(cache, sets, 2, 0), false);
+    ASSERT_EQ(cache.storedWays(), 4u);
+
+    const auto roundTrip = [](const std::string& bytes) {
+        auto restored = std::make_unique<CacheModel>("l2", 6 * MiB, 128, 16);
+        snapshot::Deserializer in(bytes);
+        restored->restoreState(in);
+        return restored;
+    };
+    const std::string bytes = saved(cache);
+    auto restored = roundTrip(bytes);
+    EXPECT_EQ(restored->storedWays(), 4u);
+    EXPECT_EQ(saved(*restored), bytes);
+
+    // Both copies evolve identically from here.
+    for (std::uint64_t k = 3; k < 20; ++k) {
+        const Addr addr = lineInSet(cache, sets, 1, k);
+        const CacheResult a = cache.access(addr, k % 3 == 0);
+        const CacheResult b = restored->access(addr, k % 3 == 0);
+        ASSERT_EQ(a.hit, b.hit);
+        ASSERT_EQ(a.writebackBytes, b.writebackBytes);
+        ASSERT_EQ(cache.storedWays(), restored->storedWays());
+    }
+    EXPECT_EQ(saved(*restored), saved(cache));
+
+    cache.flushAll();
+    EXPECT_EQ(roundTrip(saved(cache))->storedWays(), 16u);
+    EXPECT_EQ(roundTrip(saved(CacheModel("l2", 6 * MiB, 128, 16)))
+                  ->storedWays(),
+              1u);
 }
 
 TEST(CacheModel, RestoreRejectsStampWiderThanThePackedField)

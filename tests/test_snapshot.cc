@@ -20,6 +20,7 @@
 #include "api/runner.hh"
 #include "api/sweep.hh"
 #include "common/env.hh"
+#include "gpu/store_coalescer.hh"
 #include "snapshot/snapshot.hh"
 
 namespace gps
@@ -341,6 +342,35 @@ TEST_F(SnapshotCorruption, CaptureRefusesCheckAndProfileRuns)
     profiled.obs.profile = true;
     EXPECT_THROW((void)runWorkload("Jacobi", profiled),
                  snapshot::SnapshotError);
+}
+
+TEST(SnapshotCorruptionComponent, CoalescerCursorOutOfRangeIsRejected)
+{
+    // The coalescer walks its ring from head_ with wrap-around compares,
+    // so a cursor past the ring must be refused, not indexed.
+    const auto encode = [](std::uint32_t head, std::uint32_t valid) {
+        snapshot::Serializer out;
+        out.section("coalescer");
+        out.u64(8);
+        for (std::uint64_t line = 0; line < 8; ++line)
+            out.u64(line);
+        out.u32(head);
+        out.u32(valid);
+        out.u64(0);
+        out.u64(0);
+        return out.bytes();
+    };
+    StoreCoalescer coalescer("c", 8, 128);
+    const std::string fits = encode(7, 8);
+    snapshot::Deserializer fits_in(fits);
+    EXPECT_NO_THROW(coalescer.restoreState(fits_in));
+    for (const auto& [head, valid] :
+         {std::pair<std::uint32_t, std::uint32_t>{8, 8}, {0, 9}}) {
+        const std::string bad = encode(head, valid);
+        snapshot::Deserializer in(bad);
+        EXPECT_THROW(coalescer.restoreState(in), snapshot::SnapshotError)
+            << "head " << head << " valid " << valid;
+    }
 }
 
 // Serializable collectors (metrics, timeline, causal) round-trip with
