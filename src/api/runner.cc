@@ -58,13 +58,14 @@ Runner::run(Workload& workload)
         workload.applyUmHints(ctx);
 
     // Differential validation: constructed only when requested, so the
-    // disabled path runs exactly the pre-check code. Attached before
-    // onSetupComplete() so setup-time subscriptions reach the sink.
+    // disabled path runs exactly the pre-check code. In the sink table
+    // before onSetupComplete() so setup-time subscriptions reach it.
+    RunSinks& sinks = system.sinks();
     std::unique_ptr<CheckContext> check;
     if (config_.check.enabled) {
         check = std::make_unique<CheckContext>(config_.check, system);
         check->attachParadigm(paradigm.get());
-        paradigm->attachChecker(check.get());
+        sinks.check = check.get();
         check_ = check.get();
     }
 
@@ -79,21 +80,24 @@ Runner::run(Workload& workload)
         paradigm->registerMetrics(obs->registry());
         if (fault_engine != nullptr)
             fault_engine->registerMetrics(obs->registry());
-        if (TimelineRecorder* rec = obs->recorder()) {
-            system.installRecorder(rec);
-            paradigm->attachRecorder(rec);
-            if (fault_engine != nullptr)
-                fault_engine->attachRecorder(rec);
+        sinks.recorder = obs->recorder();
+        sinks.profile = obs->profile();
+        sinks.causal = obs->causal();
+        if (TimelineRecorder* rec = sinks.recorder) {
             for (std::size_t g = 0; g < system.numGpus(); ++g)
                 rec->nameTrack(static_cast<int>(g),
                                "gpu" + std::to_string(g));
             rec->nameTrack(TimelineRecorder::systemTid, "system");
             rec->nameTrack(TimelineRecorder::faultTid, "faults");
             rec->nameTrack(TimelineRecorder::driverTid, "driver");
+            const std::size_t nodes = system.config().numNodes;
+            if (nodes > 1)
+                for (std::size_t n = 0; n < nodes; ++n)
+                    rec->nameTrack(TimelineRecorder::uplinkTidBase +
+                                       static_cast<int>(n),
+                                   "node" + std::to_string(n) + ".uplink");
         }
-        if (ProfileCollector* prof = obs->profile()) {
-            system.installProfile(prof);
-            paradigm->attachProfile(prof);
+        if (ProfileCollector* prof = sinks.profile) {
             // Resolved at finalize(), while the system is still alive.
             prof->setRegionResolver([&system](PageNum vpn) {
                 const Region* region = system.driver().regionOf(
@@ -102,7 +106,7 @@ Runner::run(Workload& workload)
                                          : std::string("<unmapped>");
             });
         }
-        if (CausalRecorder* causal = obs->causal()) {
+        if (CausalRecorder* causal = sinks.causal) {
             CausalModel model;
             const InterconnectSpec& spec = system.topology().spec();
             model.linkBandwidth = spec.bandwidth;
@@ -115,19 +119,8 @@ Runner::run(Workload& workload)
             model.wqDrainScale = system.config().gps.wqDrainScale;
             model.numGpus = system.numGpus();
             causal->setModel(model);
-            system.installCausal(causal);
-            paradigm->attachCausal(causal);
-            if (fault_engine != nullptr)
-                fault_engine->attachCausal(causal);
         }
-        obs->startSampling(system.events().now());
-        CausalRecorder* causal_feed = obs->causal();
-        system.events().setObserver(
-            [&obs, causal_feed](Tick now, const std::string& name) {
-                obs->poll(now);
-                if (causal_feed != nullptr)
-                    causal_feed->onEvent(name);
-            });
+        obs->startSampling(system.now());
         obs_ = obs.get();
     }
 
@@ -138,8 +131,8 @@ Runner::run(Workload& workload)
     const std::size_t max_iters = std::max<std::size_t>(eff_requested, 1);
     const std::size_t sim_iters =
         std::min<std::size_t>(1 + config_.steadyIterations, max_iters);
-    if (obs != nullptr && obs->causal() != nullptr)
-        obs->causal()->setEffectiveIterations(
+    if (sinks.causal != nullptr)
+        sinks.causal->setEffectiveIterations(
             std::max<std::uint64_t>(eff_requested, 1));
 
     RunResult result;
@@ -301,7 +294,7 @@ Runner::run(Workload& workload)
         if (capturing && !resuming &&
             config_.snapshotAt.kind == snapshot::AtKind::Iter &&
             config_.snapshotAt.n == iter)
-            capture(iter, 0, system.events().now(),
+            capture(iter, 0, system.now(),
                     system.topology().totalPayloadBytes());
 
         Tick t_before = 0;
@@ -317,10 +310,10 @@ Runner::run(Workload& workload)
             paradigm->beginIteration(iter);
             if (iter == 0)
                 paradigm->trackingStart();
-            t_before = system.events().now();
+            t_before = system.now();
             b_before = system.topology().totalPayloadBytes();
-            if (obs != nullptr && obs->causal() != nullptr)
-                obs->causal()->beginIteration(iter, t_before);
+            if (sinks.causal != nullptr)
+                sinks.causal->beginIteration(iter, t_before);
             phases = workload.iteration(iter, ctx);
         }
 
@@ -346,9 +339,9 @@ Runner::run(Workload& workload)
                 paradigm->fillSubscriberHistogram(result.subscriberHist);
         }
 
-        if (obs != nullptr && obs->causal() != nullptr)
-            obs->causal()->endIteration(system.events().now());
-        iter_time.push_back(system.events().now() - t_before);
+        if (sinks.causal != nullptr)
+            sinks.causal->endIteration(system.now());
+        iter_time.push_back(system.now() - t_before);
         iter_bytes.push_back(system.topology().totalPayloadBytes() -
                              b_before);
     }
@@ -422,32 +415,15 @@ Runner::run(Workload& workload)
     if (check != nullptr) {
         result.check = std::make_shared<const CheckReport>(
             check->finalize(totals, result.stats));
-        paradigm->attachChecker(nullptr);
         check_ = nullptr;
     }
 
     if (obs != nullptr) {
-        system.events().setObserver(nullptr);
         result.obs = std::make_shared<const ObsReport>(
-            obs->finalize(system.events().now()));
-        if (obs->recorder() != nullptr) {
-            system.installRecorder(nullptr);
-            paradigm->attachRecorder(nullptr);
-            if (fault_engine != nullptr)
-                fault_engine->attachRecorder(nullptr);
-        }
-        if (obs->profile() != nullptr) {
-            system.installProfile(nullptr);
-            paradigm->attachProfile(nullptr);
-        }
-        if (obs->causal() != nullptr) {
-            system.installCausal(nullptr);
-            paradigm->attachCausal(nullptr);
-            if (fault_engine != nullptr)
-                fault_engine->attachCausal(nullptr);
-        }
+            obs->finalize(system.now()));
         obs_ = nullptr;
     }
+    sinks = RunSinks{};
     return result;
 }
 
@@ -464,19 +440,17 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
 {
     const std::size_t n = system.numGpus();
     Topology& topo = system.topology();
-    EventQueue& events = system.events();
     const PageGeometry& geo = system.geometry();
+    const Tick start = system.now();
 
     // Inject any faults that have come due before the phase begins; they
-    // fire at the current tick so the phase-time invariant below holds.
+    // fire at the current tick so the phase timing below holds.
     if (faults_ != nullptr)
-        faults_->pump(events, paradigm);
-
-    const Tick start = events.now();
+        faults_->pump(start, paradigm);
 
     // Intra-phase events (drains, migrations, link transfers) are
     // recorded against the phase's start tick.
-    TimelineRecorder* rec = obs_ != nullptr ? obs_->recorder() : nullptr;
+    TimelineRecorder* rec = system.sinks().recorder;
     if (rec != nullptr)
         rec->advanceTo(start);
 
@@ -577,8 +551,8 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
     // --- Timing: per-GPU bottleneck, then the barrier max. ---
     // kernelTimeBreakdown().total is exactly kernelTime(); the
     // intermediate terms only leave this loop when profiling is on.
-    ProfileCollector* prof = obs_ != nullptr ? obs_->profile() : nullptr;
-    CausalRecorder* causal = obs_ != nullptr ? obs_->causal() : nullptr;
+    ProfileCollector* prof = system.sinks().profile;
+    CausalRecorder* causal = system.sinks().causal;
     const Tick launch = system.config().gpu.kernelLaunchOverhead;
     Tick slowest = 0;
     std::vector<Tick> gpu_time(n, 0);
@@ -678,23 +652,23 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
         causal->addPhase(std::move(cp));
     }
 
-    // Drive simulated time through the event queue: one completion event
-    // per kernel, then the barrier. The name prefix is built once and
-    // the buffer reused across kernels.
-    std::string done_name = phase.name + ".kernel_done.";
-    const std::size_t done_prefix = done_name.size();
-    for (const Cursor& cursor : cursors) {
-        const GpuId gpu = cursor.kernel->gpu;
-        done_name.resize(done_prefix);
-        done_name += std::to_string(gpu);
-        events.schedule(start + prefetch_time + gpu_time[gpu], done_name,
-                        [] {});
+    // Poll the sampler at each kernel's completion in time order, then
+    // at the phase end, so a period boundary crossed mid-phase is
+    // sampled at the first completion at or after it.
+    if (obs_ != nullptr) {
+        std::vector<Tick> done;
+        done.reserve(cursors.size());
+        for (const Cursor& cursor : cursors)
+            done.push_back(start + prefetch_time +
+                           gpu_time[cursor.kernel->gpu]);
+        std::sort(done.begin(), done.end());
+        for (const Tick t : done)
+            obs_->poll(t);
+        obs_->poll(start + phase_time);
+        if (causal != nullptr)
+            causal->noteDep(CausalEdge::KernelToPhase, cursors.size());
     }
-    events.schedule(start + phase_time, phase.name + ".barrier", [] {},
-                    barrierPriority);
-    events.run();
-    gps_assert(events.now() == start + phase_time,
-               "event queue out of sync with phase timing");
+    system.advanceTo(start + phase_time);
 
     if (rec != nullptr) {
         if (prefetch_time > 0)

@@ -6,7 +6,8 @@
  * concurrently by interleaving their access streams round-robin in fixed
  * chunks (so UM page thrashing between GPUs emerges); the analytic GPU
  * timing model converts each kernel's event counts into a duration; the
- * event queue sequences kernel completions and barriers.
+ * phase lasts prefetch + slowest GPU + barrier, and the system clock
+ * advances by that sum at the barrier.
  *
  * Iteration methodology: iteration 0 is simulated in full (it carries the
  * GPS profiling phase and the UM first-touch transient), followed by a

@@ -3,7 +3,6 @@
 #include "common/logging.hh"
 #include "interconnect/node_topology.hh"
 #include "obs/metric_registry.hh"
-#include "obs/timeline.hh"
 
 namespace gps
 {
@@ -28,13 +27,21 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig& config)
         topology_ = std::make_unique<NodeTopology>(
             "interconnect", config.numGpus, config.numNodes,
             config.interconnect, config.interNode,
-            config.linkBandwidthScale);
+            config.linkBandwidthScale, sinks_);
     } else {
         topology_ = std::make_unique<Topology>(
             "interconnect", config.numGpus, config.interconnect,
-            config.linkBandwidthScale);
+            config.linkBandwidthScale, sinks_);
     }
-    driver_ = std::make_unique<Driver>(vas_, gpus_, *topology_);
+    driver_ = std::make_unique<Driver>(vas_, gpus_, *topology_, sinks_);
+}
+
+void
+MultiGpuSystem::advanceTo(Tick when)
+{
+    gps_assert(when >= now_, "simulated time moved backwards (", when,
+               " < ", now_, ")");
+    now_ = when;
 }
 
 ConfigDump
@@ -104,30 +111,6 @@ MultiGpuSystem::registerMetrics(MetricRegistry& reg) const
         gpu->registerMetrics(reg);
     topology_->registerMetrics(reg);
     driver_->registerMetrics(reg);
-}
-
-void
-MultiGpuSystem::installRecorder(TimelineRecorder* recorder)
-{
-    recorder_ = recorder;
-    topology_->attachRecorder(recorder);
-    driver_->attachRecorder(recorder);
-}
-
-void
-MultiGpuSystem::installProfile(ProfileCollector* profile)
-{
-    profile_ = profile;
-    topology_->attachProfile(profile);
-    driver_->attachProfile(profile);
-}
-
-void
-MultiGpuSystem::installCausal(CausalRecorder* causal)
-{
-    causal_ = causal;
-    topology_->attachCausal(causal);
-    driver_->attachCausal(causal);
 }
 
 void

@@ -2,10 +2,11 @@
  * @file
  * Public facade: a configured multi-GPU system instance.
  *
- * Owns the GPUs, interconnect, shared VA space, driver and event queue.
- * Paradigms and the runner operate on a MultiGpuSystem; library users
- * construct one from a SystemConfig (Table 1 defaults) and either run the
- * bundled workloads through Runner or drive the Driver API directly.
+ * Owns the GPUs, interconnect, shared VA space, driver, the simulated
+ * clock and the run's collector table. Paradigms and the runner operate
+ * on a MultiGpuSystem; library users construct one from a SystemConfig
+ * (Table 1 defaults) and either run the bundled workloads through Runner
+ * or drive the Driver API directly.
  */
 
 #ifndef GPS_API_SYSTEM_HH
@@ -23,16 +24,13 @@
 #include "interconnect/pcie.hh"
 #include "interconnect/topology.hh"
 #include "mem/address_space.hh"
-#include "sim/event_queue.hh"
+#include "sim/run_sinks.hh"
 
 namespace gps
 {
 
 class FaultEngine;
 class MetricRegistry;
-class TimelineRecorder;
-class ProfileCollector;
-class CausalRecorder;
 
 /** Full system configuration. */
 struct SystemConfig
@@ -82,9 +80,21 @@ class MultiGpuSystem
     Driver& driver() { return *driver_; }
     Topology& topology() { return *topology_; }
     const Topology& topology() const { return *topology_; }
-    EventQueue& events() { return events_; }
     AddressSpace& addressSpace() { return vas_; }
     const PageGeometry& geometry() const { return vas_.geometry(); }
+
+    /** Current simulated time. */
+    Tick now() const { return now_; }
+
+    /** Move simulated time forward to @p when (never backwards). */
+    void advanceTo(Tick when);
+
+    /**
+     * The collectors this run feeds (all nullptr unless the runner
+     * filled them). The interconnect, driver and paradigm components
+     * read the table in place.
+     */
+    RunSinks& sinks() { return sinks_; }
 
     /**
      * Fault engine driving this run, when fault injection is active
@@ -102,49 +112,17 @@ class MultiGpuSystem
     /** Register every component's metrics (same set as stats()). */
     void registerMetrics(MetricRegistry& reg) const;
 
-    /**
-     * Install the timeline recorder on the driver and topology (nullptr
-     * uninstalls). Paradigm-owned components attach separately through
-     * Paradigm::attachRecorder.
-     */
-    void installRecorder(TimelineRecorder* recorder);
-
-    /** Recorder currently installed, or nullptr. */
-    TimelineRecorder* recorder() { return recorder_; }
-
-    /**
-     * Install the profile collector on the driver and topology (nullptr
-     * uninstalls). Paradigm-owned components attach separately through
-     * Paradigm::attachProfile.
-     */
-    void installProfile(ProfileCollector* profile);
-
-    /** Profile collector currently installed, or nullptr. */
-    ProfileCollector* profile() { return profile_; }
-
-    /**
-     * Install the causal dependency recorder on the driver and
-     * topology (nullptr uninstalls). Paradigm-owned components attach
-     * separately through Paradigm::attachCausal.
-     */
-    void installCausal(CausalRecorder* causal);
-
-    /** Causal recorder currently installed, or nullptr. */
-    CausalRecorder* causal() { return causal_; }
-
     void resetStats();
 
   private:
     SystemConfig config_;
+    RunSinks sinks_;
+    Tick now_ = 0;
     AddressSpace vas_;
     std::vector<std::unique_ptr<GpuModel>> gpus_;
     std::unique_ptr<Topology> topology_;
     std::unique_ptr<Driver> driver_;
-    EventQueue events_;
     FaultEngine* faults_ = nullptr;
-    TimelineRecorder* recorder_ = nullptr;
-    ProfileCollector* profile_ = nullptr;
-    CausalRecorder* causal_ = nullptr;
 };
 
 } // namespace gps

@@ -3,12 +3,12 @@
  * Observer interface for GPS protocol events.
  *
  * The subscription manager and the GPS paradigm fire these callbacks as
- * the simulated driver mutates subscription state, following the same
- * attach/detach pattern as ProfileCollector: a nullptr sink is the
- * default and costs nothing on the hot path. The differential checker
- * mirrors the events into its reference model so both sides evolve the
- * same page state without the checker ever reaching into timing-model
- * internals.
+ * the simulated driver mutates subscription state, reading the sink from
+ * the system's RunSinks table like the observability collectors: a null
+ * entry is the default and costs one pointer test. The differential
+ * checker mirrors the events into its reference model so both sides
+ * evolve the same page state without the checker ever reaching into
+ * timing-model internals.
  */
 
 #ifndef GPS_CHECK_SINK_HH

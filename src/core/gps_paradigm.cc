@@ -9,7 +9,6 @@
 #include "obs/causal/causal.hh"
 #include "obs/metric_registry.hh"
 #include "obs/profile.hh"
-#include "obs/timeline.hh"
 
 namespace gps
 {
@@ -18,8 +17,8 @@ GpsParadigm::GpsParadigm(MultiGpuSystem& system)
     : Paradigm("gps", system)
 {
     gpsTable_ = std::make_unique<GpsPageTable>();
-    subs_ = std::make_unique<SubscriptionManager>(system.driver(),
-                                                  *gpsTable_);
+    subs_ = std::make_unique<SubscriptionManager>(
+        system.driver(), *gpsTable_, system.sinks());
     subs_->installReclaimHook();
     tracker_ = std::make_unique<AccessTracker>(system.numGpus());
     for (std::size_t g = 0; g < system.numGpus(); ++g) {
@@ -27,7 +26,7 @@ GpsParadigm::GpsParadigm(MultiGpuSystem& system)
         queues_.push_back(std::make_unique<RemoteWriteQueue>(
             "gpu" + std::to_string(g) + ".remote_write_queue",
             system.config().gps, system.config().gpu.cacheLineBytes,
-            system.geometry()));
+            system.geometry(), system.sinks(), static_cast<int>(g)));
         units_.push_back(std::make_unique<GpsTranslationUnit>(
             "gpu" + std::to_string(g) + ".gps_xlat", system.config().gps,
             *gpsTable_));
@@ -168,8 +167,8 @@ GpsParadigm::forwardToSubscribers(GpuId producer,
     if (messages == 0)
         return;
     counters.pushedStoreBytes += payload * messages;
-    if (profile_ != nullptr)
-        profile_->noteRemoteWriteForward(vpn, messages, payload * messages);
+    if (ProfileCollector* prof = sys().sinks().profile)
+        prof->noteRemoteWriteForward(vpn, messages, payload * messages);
 
     // Nothing reads the phase traffic before every endKernel, so the
     // wire bytes wait there as one integer sum per (producer, mask).
@@ -235,8 +234,8 @@ GpsParadigm::handleSysWrite(GpuId gpu, const MemAccess& access,
     // hears about the flush first so its reference model drains with
     // the same pre-collapse subscriber masks the drains below see.
     ctxCounters_ = &counters;
-    if (check_ != nullptr)
-        check_->noteSysFlush(vpn);
+    if (GpsCheckSink* check = sys().sinks().check)
+        check->noteSysFlush(vpn);
     for (auto& queue : queues_)
         queue->drainPage(vpn);
 
@@ -317,8 +316,8 @@ GpsParadigm::onFaultWqSaturate(GpuId gpu, bool saturated,
                                FaultReport& report)
 {
     (void)report;
-    if (check_ != nullptr)
-        check_->noteWqSaturation(gpu, saturated);
+    if (GpsCheckSink* check = sys().sinks().check)
+        check->noteWqSaturation(gpu, saturated);
     if (gpu == invalidGpu) {
         for (auto& queue : queues_)
             queue->setSaturated(saturated);
@@ -350,8 +349,8 @@ GpsParadigm::maybeResubscribe(GpuId gpu, PageNum vpn, PageState& st,
         counters.migrationBytes += page_bytes;
     }
     degraded_.erase(it);
-    if (causal_ != nullptr)
-        causal_->noteDep(CausalEdge::MigrationToStall);
+    if (CausalRecorder* causal = sys().sinks().causal)
+        causal->noteDep(CausalEdge::MigrationToStall);
     if (FaultEngine* engine = sys().faults())
         ++engine->report().resubscribes;
 }
@@ -505,37 +504,6 @@ GpsParadigm::registerMetrics(MetricRegistry& reg) const
               [this] { return wqHitRate(); });
     reg.gauge("gps.gps_tlb_hit_rate", "ratio",
               [this] { return gpsTlbHitRate(); });
-}
-
-void
-GpsParadigm::attachRecorder(TimelineRecorder* recorder)
-{
-    for (std::size_t g = 0; g < queues_.size(); ++g)
-        queues_[g]->attachRecorder(recorder, static_cast<int>(g));
-}
-
-void
-GpsParadigm::attachProfile(ProfileCollector* profile)
-{
-    profile_ = profile;
-    subs_->attachProfile(profile);
-    for (auto& queue : queues_)
-        queue->attachProfile(profile);
-}
-
-void
-GpsParadigm::attachChecker(GpsCheckSink* sink)
-{
-    check_ = sink;
-    subs_->attachCheck(sink);
-}
-
-void
-GpsParadigm::attachCausal(CausalRecorder* causal)
-{
-    causal_ = causal;
-    for (auto& queue : queues_)
-        queue->attachCausal(causal);
 }
 
 void

@@ -109,27 +109,6 @@ class GpsParadigm : public Paradigm
     void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
 
-    /** Forward the recorder to every GPU's remote write queue. */
-    void attachRecorder(TimelineRecorder* recorder) override;
-
-    /**
-     * Forward the profile collector to the write queues and the
-     * subscription manager, and feed remote-write heat from drains.
-     */
-    void attachProfile(ProfileCollector* profile) override;
-
-    /**
-     * Forward the differential-validation sink to the subscription
-     * manager and mirror sys-flush / saturation events into it.
-     */
-    void attachChecker(GpsCheckSink* sink) override;
-
-    /**
-     * Forward the causal recorder to every GPU's remote write queue and
-     * note migration->stall edges from §5.3 re-subscriptions.
-     */
-    void attachCausal(CausalRecorder* causal) override;
-
     /**
      * Serialize the full publish-subscribe machine: GPS page table,
      * subscription counters, access tracker, per-GPU write queues and
@@ -235,15 +214,6 @@ class GpsParadigm : public Paradigm
     /** Per producer: its most recently used pending entry, or nullptr
      *  (unordered_map nodes stay put until the flush clears them). */
     std::vector<PendingForwards::value_type*> lastPending_;
-
-    /** Profile collector, nullptr when profiling is off. */
-    ProfileCollector* profile_ = nullptr;
-
-    /** Differential-validation sink, nullptr when checking is off. */
-    GpsCheckSink* check_ = nullptr;
-
-    /** Causal recorder, nullptr when causal tracing is off. */
-    CausalRecorder* causal_ = nullptr;
 
     /** (vpn, gpu) -> remote accesses since the replica was lost. */
     std::unordered_map<std::uint64_t, std::uint32_t> degraded_;

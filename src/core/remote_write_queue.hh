@@ -18,15 +18,12 @@
 #include "common/types.hh"
 #include "core/gps_config.hh"
 #include "mem/page.hh"
+#include "sim/run_sinks.hh"
 #include "sim/sim_object.hh"
 #include "snapshot/serial.hh"
 
 namespace gps
 {
-
-class TimelineRecorder;
-class ProfileCollector;
-class CausalRecorder;
 
 /** One coalescing buffer entry (one cache block). */
 struct WqEntry
@@ -64,8 +61,18 @@ class RemoteWriteQueue : public SimObject
     /** Called with each entry as it drains toward the interconnect. */
     using DrainFn = std::function<void(const WqEntry&)>;
 
+    /**
+     * @param sinks collectors this queue feeds: timeline instants for
+     *        full drains and saturation transitions on track @p track
+     *        at the recorder's current stamp; profile occupancy at each
+     *        new-entry enqueue and drain residency (in insert operations
+     *        spanned) at each drain; causal insert->drain edges, plus
+     *        SM-stall edges for drains forced while saturated
+     * @param track timeline track of the owning GPU
+     */
     RemoteWriteQueue(std::string name, const GpsConfig& config,
-                     std::uint32_t line_bytes, PageGeometry geometry);
+                     std::uint32_t line_bytes, PageGeometry geometry,
+                     const RunSinks& sinks = noSinks, int track = 0);
 
     void setDrainCallback(DrainFn fn) { drain_ = std::move(fn); }
 
@@ -101,31 +108,6 @@ class RemoteWriteQueue : public SimObject
      */
     void setSaturated(bool saturated);
     bool saturated() const { return saturated_; }
-
-    /**
-     * Attach the timeline recorder (nullptr detaches). Full drains and
-     * saturation transitions are then recorded as timeline events at
-     * the recorder's current stamp.
-     */
-    void attachRecorder(TimelineRecorder* recorder, int tid)
-    {
-        recorder_ = recorder;
-        recorderTid_ = tid;
-    }
-
-    /**
-     * Attach the profile collector (nullptr detaches): occupancy is
-     * then sampled at each new-entry enqueue and drain residency (in
-     * insert operations spanned) at each drain.
-     */
-    void attachProfile(ProfileCollector* profile) { profile_ = profile; }
-
-    /**
-     * Attach the causal recorder (nullptr detaches): new-entry inserts
-     * and drains are then counted as insert->drain dependency edges,
-     * and saturated forced drains as SM-stall edges.
-     */
-    void attachCausal(CausalRecorder* causal) { causal_ = causal; }
 
     /** Drains forced while saturated (each stalls the producing SM). */
     std::uint64_t stallDrains() const { return stallDrains_; }
@@ -255,10 +237,8 @@ class RemoteWriteQueue : public SimObject
     std::uint64_t forwardHits_ = 0;
     std::uint64_t stallDrains_ = 0;
     bool saturated_ = false;
-    TimelineRecorder* recorder_ = nullptr;
-    int recorderTid_ = 0;
-    ProfileCollector* profile_ = nullptr;
-    CausalRecorder* causal_ = nullptr;
+    const RunSinks& sinks_;
+    int track_;
 };
 
 } // namespace gps

@@ -9,8 +9,10 @@ namespace gps
 {
 
 SubscriptionManager::SubscriptionManager(Driver& driver,
-                                         GpsPageTable& table)
-    : SimObject("subscription_manager"), driver_(&driver), table_(&table)
+                                         GpsPageTable& table,
+                                         const RunSinks& sinks)
+    : SimObject("subscription_manager"), driver_(&driver), table_(&table),
+      sinks_(sinks)
 {
 }
 
@@ -89,10 +91,10 @@ SubscriptionManager::subscribe(PageNum vpn, GpuId gpu)
     table_->addReplica(vpn, gpu, pte->ppn);
     refreshGpsBit(vpn);
     ++subscribeOps_;
-    if (profile_ != nullptr)
-        profile_->noteSubscriptionFlip(vpn);
-    if (check_ != nullptr)
-        check_->noteSubscribe(vpn, gpu);
+    if (sinks_.profile != nullptr)
+        sinks_.profile->noteSubscriptionFlip(vpn);
+    if (sinks_.check != nullptr)
+        sinks_.check->noteSubscribe(vpn, gpu);
     return SubscribeResult::Ok;
 }
 
@@ -115,10 +117,10 @@ SubscriptionManager::unsubscribe(PageNum vpn, GpuId gpu,
         st.location = maskFirst(st.subscribers);
     refreshGpsBit(vpn);
     ++unsubscribeOps_;
-    if (profile_ != nullptr)
-        profile_->noteSubscriptionFlip(vpn);
-    if (check_ != nullptr)
-        check_->noteUnsubscribe(vpn, gpu);
+    if (sinks_.profile != nullptr)
+        sinks_.profile->noteSubscriptionFlip(vpn);
+    if (sinks_.check != nullptr)
+        sinks_.check->noteUnsubscribe(vpn, gpu);
     return UnsubscribeResult::Ok;
 }
 
@@ -184,8 +186,8 @@ SubscriptionManager::collapse(PageNum vpn, GpuId keeper,
     st.location = keeper;
     refreshGpsBit(vpn);
     ++collapses_;
-    if (check_ != nullptr)
-        check_->noteCollapse(vpn, keeper);
+    if (sinks_.check != nullptr)
+        sinks_.check->noteCollapse(vpn, keeper);
 }
 
 void

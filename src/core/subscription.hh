@@ -17,13 +17,11 @@
 #include "common/types.hh"
 #include "core/gps_page_table.hh"
 #include "driver/driver.hh"
+#include "sim/run_sinks.hh"
 #include "sim/sim_object.hh"
 
 namespace gps
 {
-
-class ProfileCollector;
-class GpsCheckSink;
 
 /** Outcome of a subscription request. */
 enum class SubscribeResult : std::uint8_t {
@@ -43,7 +41,13 @@ enum class UnsubscribeResult : std::uint8_t {
 class SubscriptionManager : public SimObject
 {
   public:
-    SubscriptionManager(Driver& driver, GpsPageTable& table);
+    /**
+     * @param sinks collectors fed per successful subscribe/unsubscribe
+     *        (profile churn heat; check-sink events, which mirror the
+     *        flips and collapses into the checker's reference model)
+     */
+    SubscriptionManager(Driver& driver, GpsPageTable& table,
+                        const RunSinks& sinks = noSinks);
 
     /**
      * Swap out one of @p gpu's GPS replicas to free a frame: the first
@@ -114,19 +118,6 @@ class SubscriptionManager : public SimObject
     void registerMetrics(MetricRegistry& reg) const override;
 
     /**
-     * Attach the profile collector (nullptr detaches): successful
-     * subscribe/unsubscribe flips then feed the per-page churn heat.
-     */
-    void attachProfile(ProfileCollector* profile) { profile_ = profile; }
-
-    /**
-     * Attach the differential-validation sink (nullptr detaches):
-     * successful subscribes/unsubscribes and collapses are then
-     * mirrored into the checker's reference model.
-     */
-    void attachCheck(GpsCheckSink* check) { check_ = check; }
-
-    /**
      * Serialize the op counters. The subscription state itself lives
      * in the driver page state and the GPS page table, both covered by
      * their own saveState.
@@ -168,8 +159,7 @@ class SubscriptionManager : public SimObject
     std::uint64_t collapses_ = 0;
     std::uint64_t swapOuts_ = 0;
     std::uint64_t replicaRetires_ = 0;
-    ProfileCollector* profile_ = nullptr;
-    GpsCheckSink* check_ = nullptr;
+    const RunSinks& sinks_;
 };
 
 } // namespace gps

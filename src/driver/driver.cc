@@ -11,8 +11,9 @@ namespace gps
 
 Driver::Driver(AddressSpace& vas,
                std::vector<std::unique_ptr<GpuModel>>& gpus,
-               Topology& topology)
-    : SimObject("driver"), vas_(&vas), gpus_(&gpus), topology_(&topology)
+               Topology& topology, const RunSinks& sinks)
+    : SimObject("driver"), vas_(&vas), gpus_(&gpus), topology_(&topology),
+      sinks_(sinks)
 {
     gps_assert(gpus.size() <= maxGpus, "too many GPUs for GpuMask");
     for (std::size_t g = 0; g < gpus.size(); ++g) {
@@ -263,16 +264,15 @@ Driver::migratePage(PageNum vpn, GpuId to, KernelCounters& counters,
     ++migrations_;
     ++counters.pageMigrations;
     counters.migrationBytes += page_bytes;
-    if (profile_ != nullptr)
-        profile_->noteMigration(vpn);
-    if (causal_ != nullptr)
-        causal_->noteDep(CausalEdge::MigrationToStall);
-    if (recorder_ != nullptr)
-        recorder_->instantNow(TimelineRecorder::driverTid, "migrate",
-                              "driver",
-                              {{"vpn", static_cast<double>(vpn)},
-                               {"from", static_cast<double>(from)},
-                               {"to", static_cast<double>(to)}});
+    if (sinks_.profile != nullptr)
+        sinks_.profile->noteMigration(vpn);
+    if (sinks_.causal != nullptr)
+        sinks_.causal->noteDep(CausalEdge::MigrationToStall);
+    if (TimelineRecorder* rec = sinks_.recorder)
+        rec->instantNow(TimelineRecorder::driverTid, "migrate", "driver",
+                        {{"vpn", static_cast<double>(vpn)},
+                         {"from", static_cast<double>(from)},
+                         {"to", static_cast<double>(to)}});
 }
 
 void

@@ -25,22 +25,24 @@
 #include "interconnect/topology.hh"
 #include "mem/address_space.hh"
 #include "mem/page_table.hh"
+#include "sim/run_sinks.hh"
 #include "sim/sim_object.hh"
 
 namespace gps
 {
 
-class TimelineRecorder;
-class ProfileCollector;
-class CausalRecorder;
-
 /** The multi-GPU driver: allocation API plus page-management mechanics. */
 class Driver : public SimObject
 {
   public:
+    /**
+     * @param sinks collectors fed per page migration: a timeline
+     *        instant on the driver track, profile migration heat, a
+     *        causal migration->stall edge
+     */
     Driver(AddressSpace& vas,
            std::vector<std::unique_ptr<GpuModel>>& gpus,
-           Topology& topology);
+           Topology& topology, const RunSinks& sinks = noSinks);
 
     // ------------------------------------------------------------------
     // Allocation API (cudaMalloc / cudaMallocManaged / cudaMallocGPS).
@@ -162,34 +164,13 @@ class Driver : public SimObject
 
     /**
      * Serialize per-GPU page tables, the dense page-state store, and
-     * the driver's own counters. The reclaim hook and observers are
-     * reattached by their owners at reconstruction, not persisted.
+     * the driver's own counters. The reclaim hook is reinstalled by its
+     * owner at reconstruction, not persisted.
      */
     void saveState(snapshot::Serializer& out) const;
 
     /** Counterpart of saveState. */
     void restoreState(snapshot::Deserializer& in);
-
-    /**
-     * Attach the timeline recorder (nullptr detaches); page migrations
-     * are then recorded as instants on the driver track.
-     */
-    void attachRecorder(TimelineRecorder* recorder)
-    {
-        recorder_ = recorder;
-    }
-
-    /**
-     * Attach the profile collector (nullptr detaches); page migrations
-     * then feed the per-page migration heat.
-     */
-    void attachProfile(ProfileCollector* profile) { profile_ = profile; }
-
-    /**
-     * Attach the causal recorder (nullptr detaches); page migrations
-     * are then counted as migration->stall dependency edges.
-     */
-    void attachCausal(CausalRecorder* causal) { causal_ = causal; }
 
   private:
     const Region& allocCommon(std::uint64_t size, MemKind kind,
@@ -219,9 +200,7 @@ class Driver : public SimObject
     std::uint64_t migrations_ = 0;
     std::uint64_t shootdownRounds_ = 0;
     std::uint64_t reclaims_ = 0;
-    TimelineRecorder* recorder_ = nullptr;
-    ProfileCollector* profile_ = nullptr;
-    CausalRecorder* causal_ = nullptr;
+    const RunSinks& sinks_;
 };
 
 } // namespace gps

@@ -7,7 +7,6 @@
 #include "obs/metric_registry.hh"
 #include "obs/timeline.hh"
 #include "paradigm/paradigm.hh"
-#include "sim/event_queue.hh"
 
 namespace gps
 {
@@ -32,29 +31,22 @@ FaultEngine::FaultEngine(FaultPlan plan, MultiGpuSystem& system)
 }
 
 void
-FaultEngine::pump(EventQueue& events, Paradigm& paradigm)
+FaultEngine::pump(Tick now, Paradigm& paradigm)
 {
-    bool scheduled = false;
-    while (next_ < plan_.events.size() &&
-           plan_.events[next_].time <= events.now()) {
-        const FaultEvent& ev = plan_.events[next_++];
-        events.schedule(events.now(), "fault:" + ev.describe(),
-                        [this, &ev, &paradigm] { apply(ev, paradigm); });
-        scheduled = true;
-    }
-    if (scheduled)
-        events.run();
+    while (next_ < plan_.events.size() && plan_.events[next_].time <= now)
+        apply(plan_.events[next_++], paradigm);
 }
 
 void
 FaultEngine::apply(const FaultEvent& ev, Paradigm& paradigm)
 {
     ++report_.faultsInjected;
-    if (recorder_ != nullptr)
-        recorder_->instant(TimelineRecorder::faultTid, ev.describe(),
-                           "fault", ev.time);
-    if (causal_ != nullptr)
-        causal_->noteDep(CausalEdge::FaultToReroute);
+    const RunSinks& sinks = system_->sinks();
+    if (sinks.recorder != nullptr)
+        sinks.recorder->instant(TimelineRecorder::faultTid, ev.describe(),
+                                "fault", ev.time);
+    if (sinks.causal != nullptr)
+        sinks.causal->noteDep(CausalEdge::FaultToReroute);
     Topology& topo = system_->topology();
 
     const auto for_each_pair = [&](auto&& fn) {

@@ -17,8 +17,9 @@ NodeTopology::NodeTopology(std::string name, std::size_t num_gpus,
                            std::size_t num_nodes,
                            InterconnectKind intra_kind,
                            InterconnectKind inter_kind,
-                           double bandwidth_scale)
-    : Topology(std::move(name), num_gpus, intra_kind, bandwidth_scale),
+                           double bandwidth_scale, const RunSinks& sinks)
+    : Topology(std::move(name), num_gpus, intra_kind, bandwidth_scale,
+               sinks),
       numNodes_(num_nodes),
       gpusPerNode_(num_nodes > 0 ? num_gpus / num_nodes : 0),
       interSpec_(&interconnectSpec(inter_kind))
@@ -161,23 +162,23 @@ NodeTopology::applyPhaseTraffic(const TrafficMatrix& traffic)
         upEgress_[s]->record(out, out_time);
         upIngress_[s]->record(in, in_time);
         worst = std::max({worst, out_time, in_time});
-        if (profile_ != nullptr) {
+        if (ProfileCollector* prof = sinks_.profile) {
             if (out > 0)
-                profile_->noteLinkBusy(out_time);
+                prof->noteLinkBusy(out_time);
             if (in > 0)
-                profile_->noteLinkBusy(in_time);
+                prof->noteLinkBusy(in_time);
         }
-        if (recorder_ != nullptr) {
+        if (TimelineRecorder* rec = sinks_.recorder) {
             const int tid =
                 TimelineRecorder::uplinkTidBase + static_cast<int>(s);
             if (out > 0)
-                recorder_->complete(
-                    tid, "uplink.egress", "link", recorder_->now(),
-                    out_time, {{"bytes", static_cast<double>(out)}});
+                rec->complete(tid, "uplink.egress", "link", rec->now(),
+                              out_time,
+                              {{"bytes", static_cast<double>(out)}});
             if (in > 0)
-                recorder_->complete(
-                    tid, "uplink.ingress", "link", recorder_->now(),
-                    in_time, {{"bytes", static_cast<double>(in)}});
+                rec->complete(tid, "uplink.ingress", "link", rec->now(),
+                              in_time,
+                              {{"bytes", static_cast<double>(in)}});
         }
     }
     return worst;
@@ -225,18 +226,6 @@ NodeTopology::resetStats()
         link->resetStats();
     for (auto& link : upIngress_)
         link->resetStats();
-}
-
-void
-NodeTopology::attachRecorder(TimelineRecorder* recorder)
-{
-    Topology::attachRecorder(recorder);
-    if (recorder == nullptr)
-        return;
-    for (std::size_t n = 0; n < numNodes_; ++n)
-        recorder->nameTrack(
-            TimelineRecorder::uplinkTidBase + static_cast<int>(n),
-            "node" + std::to_string(n) + ".uplink");
 }
 
 void

@@ -57,9 +57,10 @@ TrafficMatrix::takeWire(GpuId src, GpuId dst)
 }
 
 Topology::Topology(std::string name, std::size_t num_gpus,
-                   InterconnectKind kind, double bandwidth_scale)
+                   InterconnectKind kind, double bandwidth_scale,
+                   const RunSinks& sinks)
     : SimObject(std::move(name)), numGpus_(num_gpus),
-      spec_(&interconnectSpec(kind))
+      spec_(&interconnectSpec(kind)), sinks_(sinks)
 {
     gps_assert(num_gpus >= 1, "topology needs at least one GPU");
     gps_assert(bandwidth_scale > 0.0,
@@ -94,24 +95,22 @@ Topology::applyPhaseTraffic(const TrafficMatrix& traffic)
         ingress_[g]->record(in, in_time);
         worst = std::max({worst, out_time, in_time});
         totalBytes_ += out;
-        if (causal_ != nullptr && out > 0)
-            causal_->noteDep(CausalEdge::LinkToRwqInsert);
-        if (profile_ != nullptr) {
+        if (sinks_.causal != nullptr && out > 0)
+            sinks_.causal->noteDep(CausalEdge::LinkToRwqInsert);
+        if (ProfileCollector* prof = sinks_.profile) {
             if (out > 0)
-                profile_->noteLinkBusy(out_time);
+                prof->noteLinkBusy(out_time);
             if (in > 0)
-                profile_->noteLinkBusy(in_time);
+                prof->noteLinkBusy(in_time);
         }
-        if (recorder_ != nullptr) {
+        if (TimelineRecorder* rec = sinks_.recorder) {
             const int tid = static_cast<int>(g);
             if (out > 0)
-                recorder_->complete(
-                    tid, "egress", "link", recorder_->now(), out_time,
-                    {{"bytes", static_cast<double>(out)}});
+                rec->complete(tid, "egress", "link", rec->now(), out_time,
+                              {{"bytes", static_cast<double>(out)}});
             if (in > 0)
-                recorder_->complete(
-                    tid, "ingress", "link", recorder_->now(), in_time,
-                    {{"bytes", static_cast<double>(in)}});
+                rec->complete(tid, "ingress", "link", rec->now(), in_time,
+                              {{"bytes", static_cast<double>(in)}});
         }
     }
     totalPayload_ += traffic.payload();

@@ -127,13 +127,23 @@ Observability::restoreState(snapshot::Deserializer& in)
         std::vector<Tick> ticks;
         const std::uint64_t n_ticks = in.count(1ULL << 28);
         ticks.reserve(n_ticks);
-        for (std::uint64_t i = 0; i < n_ticks; ++i)
+        for (std::uint64_t i = 0; i < n_ticks; ++i) {
             ticks.push_back(in.u64());
+            if (i > 0 && ticks[i] <= ticks[i - 1])
+                throw snapshot::SnapshotError(
+                    "corrupt snapshot: metric sample ticks do not "
+                    "increase");
+        }
         std::vector<std::vector<double>> columns;
         const std::uint64_t n_cols = in.count(1ULL << 20);
         columns.resize(n_cols);
         for (auto& column : columns) {
             const std::uint64_t n = in.count(1ULL << 28);
+            if (n != n_ticks)
+                throw snapshot::SnapshotError(
+                    "corrupt snapshot: a metric series has " +
+                    std::to_string(n) + " samples for " +
+                    std::to_string(n_ticks) + " sample ticks");
             column.reserve(n);
             for (std::uint64_t i = 0; i < n; ++i)
                 column.push_back(in.f64());

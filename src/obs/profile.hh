@@ -9,7 +9,7 @@
  * discards everything but the max. When profiling is enabled, the
  * runner captures those terms as one BottleneckProfile per kernel, and
  * GPS components feed per-page heat counters and latency histograms
- * through the same attach-pointer pattern the timeline recorder uses.
+ * through the system's RunSinks table, as for the timeline recorder.
  * Everything is opt-in behind RunConfig::obs: with profiling off no
  * collector exists and no component takes any hook branch.
  */

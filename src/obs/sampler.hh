@@ -2,13 +2,13 @@
  * @file
  * Simulated-time metric sampler: turns registry reads into time series.
  *
- * The runner polls the sampler at every instrumentation point (event
- * executions, phase boundaries, end of run); the sampler records one
- * snapshot of every registered metric whenever at least `every` ticks of
- * simulated time have passed since the previous sample. Samples are
- * therefore taken at the first instrumentation point at or after each
- * period boundary — simulated time only advances at event granularity,
- * so exact period alignment is neither possible nor meaningful.
+ * The runner polls the sampler at every kernel completion and phase end
+ * (and finishes it at run end); the sampler records one snapshot of
+ * every registered metric whenever at least `every` ticks of simulated
+ * time have passed since the previous sample. Samples are therefore
+ * taken at the first poll at or after each period boundary — phase
+ * timing is analytic, so no state exists between those instants and
+ * exact period alignment is neither possible nor meaningful.
  */
 
 #ifndef GPS_OBS_SAMPLER_HH

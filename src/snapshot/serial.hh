@@ -168,8 +168,9 @@ class Deserializer
     }
 
     /**
-     * Read an element count bounded by @p max, so a corrupt length
-     * cannot drive a multi-gigabyte allocation.
+     * Read an element count bounded by @p max and by the bytes left:
+     * every element encodes to at least one byte, so a corrupt length
+     * cannot drive an allocation larger than the snapshot itself.
      */
     std::uint64_t
     count(std::uint64_t max)
@@ -179,6 +180,11 @@ class Deserializer
             throw SnapshotError(
                 "corrupt snapshot: element count " + std::to_string(n) +
                 " exceeds limit " + std::to_string(max));
+        if (n > buf_->size() - pos_)
+            throw SnapshotError(
+                "corrupt snapshot: element count " + std::to_string(n) +
+                " exceeds the " + std::to_string(buf_->size() - pos_) +
+                " bytes left");
         return n;
     }
 

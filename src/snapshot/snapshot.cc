@@ -273,7 +273,8 @@ encodeSnapshot(MultiGpuSystem& system, const Paradigm& paradigm,
     Serializer body;
     saveMeta(body, meta);
     saveProgress(body, progress);
-    system.events().saveState(body);
+    body.section("clock");
+    body.u64(system.now());
     system.topology().saveState(body);
     for (std::size_t g = 0; g < system.numGpus(); ++g)
         system.gpu(static_cast<GpuId>(g)).saveState(body);
@@ -399,7 +400,8 @@ applyState(const Snapshot& snap, MultiGpuSystem& system,
     restoreMeta(in, meta);
     restoreProgress(in, progress);
 
-    system.events().restoreState(in);
+    in.section("clock");
+    system.advanceTo(in.u64());
     system.topology().restoreState(in);
     for (std::size_t g = 0; g < system.numGpus(); ++g)
         system.gpu(static_cast<GpuId>(g)).restoreState(in);

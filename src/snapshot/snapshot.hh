@@ -2,19 +2,20 @@
  * @file
  * Versioned, CRC-guarded whole-simulator snapshots.
  *
- * A snapshot freezes one run at a quiescent point (the event queue
- * drained, all write queues flushed by the preceding kernel ends) so it
- * can resume later — in another process, after a crash, or forked into
- * sibling configurations by the warm-started sweep runner — and produce
- * a RunResult byte-identical to the uninterrupted run.
+ * A snapshot freezes one run at a quiescent point (a phase boundary:
+ * the clock at the barrier, all write queues flushed by the preceding
+ * kernel ends) so it can resume later — in another process, after a
+ * crash, or forked into sibling configurations by the warm-started
+ * sweep runner — and produce a RunResult byte-identical to the
+ * uninterrupted run.
  *
  * File layout:
  *   "GPSSNAP\0"  8-byte magic
  *   u32          format version (snapshotVersion)
  *   u32          CRC-32 of the body
  *   u64          body length in bytes
- *   body         Serializer-encoded sections (meta, progress, machine
- *                state, functional summary)
+ *   body         Serializer-encoded sections (meta, progress, clock,
+ *                machine state, functional summary)
  *
  * Every restore is verified before the run resumes: the functional
  * summary (per-page driver state, frame accounting, GPS queue and table
@@ -45,7 +46,7 @@ class FaultEngine;
 namespace gps::snapshot
 {
 
-inline constexpr std::uint32_t snapshotVersion = 2;
+inline constexpr std::uint32_t snapshotVersion = 3;
 
 /** Where in a run a snapshot is (or was) taken. */
 enum class AtKind : std::uint8_t {

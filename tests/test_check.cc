@@ -64,6 +64,27 @@ TEST(Check, EveryParadigmPassesTheInvariantSuite)
     }
 }
 
+TEST(Check, SinkSeesEverySubscriptionFlip)
+{
+    // The check sink is in place before onSetupComplete(), so the
+    // subscribe-all profiling set-up reaches the reference model too:
+    // in a fault-free run without sys-scoped stores the sink hears
+    // exactly one event per subscribe and per unsubscribe.
+    for (const std::string& app : workloadNames()) {
+        RunConfig config = checkedConfig(ParadigmKind::Gps, 4);
+        config.scale = 0.125;
+        const RunResult result = runWorkload(app, config);
+        ASSERT_NE(result.check, nullptr) << app;
+        ASSERT_EQ(result.totals.sysCollapses, 0u) << app;
+        const double flips =
+            result.stats.get("subscription_manager.subscribe_ops") +
+            result.stats.get("subscription_manager.unsubscribe_ops");
+        EXPECT_GT(flips, 0.0) << app;
+        EXPECT_EQ(static_cast<double>(result.check->sinkEvents), flips)
+            << app;
+    }
+}
+
 TEST(Check, MidRunCadenceRunsMoreInvariantSweeps)
 {
     RunConfig sparse = checkedConfig();

@@ -300,7 +300,7 @@ checkForwardsOnTwoNodes(bool hier)
         system.driver().mallocGps(3 * 64 * KiB, "gps", 0);
     paradigm.onSetupComplete(); // every GPU subscribes to every page
     ProfileCollector profile(1, 8);
-    paradigm.attachProfile(&profile);
+    system.sinks().profile = &profile;
 
     const PageNum a = system.geometry().pageNum(region.base);
     const PageNum b = a + 1;

@@ -274,6 +274,24 @@ TEST(Observability, TimelineCoversKernelsAndTransfers)
         1u);
 }
 
+TEST(Observability, MultiNodeTimelineNamesEveryUplink)
+{
+    RunConfig config = obsConfig();
+    config.system.numGpus = 8;
+    config.system.numNodes = 4;
+    config.system.interconnect = InterconnectKind::NvLink3;
+    config.obs.timeline = true;
+    const RunResult result = runWorkload("Jacobi", config);
+    ASSERT_NE(result.obs, nullptr);
+    const auto& tracks = result.obs->timelineTracks;
+    for (int n = 0; n < 4; ++n) {
+        const auto it = tracks.find(TimelineRecorder::uplinkTidBase + n);
+        ASSERT_NE(it, tracks.end()) << "node " << n;
+        EXPECT_EQ(it->second, "node" + std::to_string(n) + ".uplink");
+    }
+    EXPECT_EQ(tracks.count(TimelineRecorder::uplinkTidBase + 4), 0u);
+}
+
 TEST(Observability, ExportedJsonIsWellFormed)
 {
     RunConfig config = obsConfig();

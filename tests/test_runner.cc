@@ -1,11 +1,13 @@
 /**
  * @file
- * Integration tests for the runner: phase execution, event-queue
- * synchronization, iteration extrapolation and result assembly, driven
- * by a minimal synthetic workload.
+ * Integration tests for the runner: phase execution, the simulated
+ * clock and the sampler polls it makes, iteration extrapolation and
+ * result assembly, driven by a minimal synthetic workload.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "api/runner.hh"
 #include "apps/app_common.hh"
@@ -184,6 +186,47 @@ TEST(Runner, RunByNameResolvesBundledWorkloads)
     const RunResult result = Runner(config).runByName("Jacobi");
     EXPECT_EQ(result.workload, "Jacobi");
     EXPECT_GT(result.totalTime, 0u);
+}
+
+TEST(Runner, SamplerPollsAtEveryKernelCompletionAndPhaseEnd)
+{
+    // With a one-tick period every poll records, so the sample ticks
+    // are exactly the instants the runner polls at: run start, each
+    // kernel's completion (phase start + prefetch + its gpuTime), each
+    // phase end, and run end.
+    RunConfig config = toyConfig();
+    config.system.numGpus = 4;
+    config.scale = 0.0625;
+    config.obs.metrics = true;
+    config.obs.causal = true;
+    config.obs.sampleEvery = 1;
+    const RunResult result = Runner(config).runByName("Jacobi");
+    ASSERT_NE(result.obs, nullptr);
+    const CausalReport& causal = result.obs->causal;
+    ASSERT_EQ(causal.droppedPhases, 0u);
+
+    std::set<Tick> completions;
+    std::set<Tick> expected{0};
+    std::uint64_t kernels = 0;
+    for (const CausalPhase& phase : causal.phases) {
+        for (const CausalKernel& k : phase.kernels) {
+            completions.insert(phase.start + phase.prefetchTime +
+                               k.gpuTime);
+            ++kernels;
+        }
+        expected.insert(phase.start + phase.phaseTime);
+    }
+    const std::size_t phase_ends = expected.size();
+    expected.insert(completions.begin(), completions.end());
+    // The run must have kernels that finish before their phase ends,
+    // or the completion polls would be indistinguishable.
+    ASSERT_GT(expected.size(), phase_ends);
+
+    const std::vector<Tick> want(expected.begin(), expected.end());
+    EXPECT_EQ(result.obs->sampleTicks, want);
+    EXPECT_EQ(causal.edges[static_cast<std::size_t>(
+                  CausalEdge::KernelToPhase)],
+              kernels);
 }
 
 } // namespace

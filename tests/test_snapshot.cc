@@ -19,6 +19,7 @@
 #include "api/result_export.hh"
 #include "api/runner.hh"
 #include "api/sweep.hh"
+#include "common/crc32.hh"
 #include "common/env.hh"
 #include "gpu/store_coalescer.hh"
 #include "snapshot/snapshot.hh"
@@ -289,6 +290,46 @@ TEST_F(SnapshotCorruption, BadMagicAndVersionAreRejected)
     expectRejected(bad_version);
 }
 
+TEST_F(SnapshotCorruption, VersionTwoFileIsRejected)
+{
+    // Format 2 carried an "events" section (clock plus the event
+    // queue's sequence and executed counters) where format 3 has a
+    // "clock" section. Rebuild this capture in the version-2 layout
+    // with a valid length and CRC: the version check must refuse it.
+    ASSERT_EQ(static_cast<unsigned char>(bytes_[8]),
+              snapshot::snapshotVersion);
+    constexpr std::size_t header_bytes = 24;
+    std::string body = bytes_.substr(header_bytes);
+    snapshot::Serializer clock_tag;
+    clock_tag.section("clock");
+    const std::string& tag = clock_tag.bytes();
+    const std::size_t at = body.find(tag);
+    ASSERT_NE(at, std::string::npos);
+    snapshot::Serializer events;
+    events.section("events");
+    std::string v2_section =
+        events.bytes() + body.substr(at + tag.size(), 8);
+    v2_section.append(16, '\0'); // sequence and executed counters
+    body.replace(at, tag.size() + 8, v2_section);
+
+    snapshot::Serializer header;
+    for (const char c : std::string("GPSSNAP", 8))
+        header.u8(static_cast<std::uint8_t>(c));
+    header.u32(2);
+    header.u32(crc32Of(body));
+    header.u64(body.size());
+    const std::string v2 = header.bytes() + body;
+    try {
+        (void)snapshot::decodeSnapshot(v2);
+        ADD_FAILURE() << "version-2 snapshot was accepted";
+    } catch (const snapshot::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find("version 2"),
+                  std::string::npos)
+            << e.what();
+    }
+    expectRejected(v2);
+}
+
 TEST_F(SnapshotCorruption, WrongRunIdentityIsRejected)
 {
     // A valid snapshot of a different configuration must be refused by
@@ -371,6 +412,62 @@ TEST(SnapshotCorruptionComponent, CoalescerCursorOutOfRangeIsRejected)
         EXPECT_THROW(coalescer.restoreState(in), snapshot::SnapshotError)
             << "head " << head << " valid " << valid;
     }
+}
+
+TEST(SnapshotSerial, CountIsBoundedByTheBytesLeft)
+{
+    // Every element of every count-prefixed list encodes to at least
+    // one byte, so a count beyond the remaining input is corrupt: a
+    // ~100-byte crafted file must not ask for gigabytes.
+    const auto encode = [](std::uint64_t n) {
+        snapshot::Serializer out;
+        out.u64(n);
+        for (int i = 0; i < 10; ++i)
+            out.u8(0);
+        return out.bytes();
+    };
+    const std::string too_many = encode(1000);
+    snapshot::Deserializer bad(too_many);
+    EXPECT_THROW((void)bad.count(1ULL << 32), snapshot::SnapshotError);
+    const std::string fits = encode(10);
+    snapshot::Deserializer good(fits);
+    EXPECT_EQ(good.count(1ULL << 32), 10u);
+}
+
+TEST(SnapshotObs, MisalignedMetricSeriesAreRejected)
+{
+    // A hand-built obs section with one metric column: the column must
+    // hold one value per sample tick and the ticks must increase, or
+    // the restored metrics JSON would pair series with the wrong ticks.
+    const auto encode = [](const std::vector<Tick>& ticks,
+                           std::size_t values) {
+        snapshot::Serializer out;
+        out.section("obs");
+        out.b(true); // sampler
+        out.u64(ticks.size());
+        for (const Tick t : ticks)
+            out.u64(t);
+        out.u64(1); // one column
+        out.u64(values);
+        for (std::size_t i = 0; i < values; ++i)
+            out.f64(1.0);
+        out.b(false); // no timeline
+        out.b(false); // no causal graph
+        return out.bytes();
+    };
+    const auto restore = [](const std::string& bytes) {
+        ObsConfig config;
+        config.metrics = true;
+        Observability obs(config);
+        obs.registry().counter("x", "events", [] { return 1.0; });
+        snapshot::Deserializer in(bytes);
+        obs.restoreState(in);
+    };
+    EXPECT_NO_THROW(restore(encode({0, 5}, 2)));
+    EXPECT_THROW(restore(encode({0, 5}, 1)), snapshot::SnapshotError);
+    EXPECT_THROW(restore(encode({0, 5}, 3)), snapshot::SnapshotError);
+    EXPECT_THROW(restore(encode({5, 5}, 2)), snapshot::SnapshotError);
+    EXPECT_THROW(restore(encode({5, 0}, 2)), snapshot::SnapshotError);
 }
 
 // Serializable collectors (metrics, timeline, causal) round-trip with
