@@ -3,18 +3,19 @@
  * Generator micro-benchmark: host-side replay throughput of the graph
  * workloads (Pagerank, SSSP) next to the stencil reference (Jacobi).
  *
- * Graph apps used to run ~100x slower than Jacobi because trace
- * generation (per-vertex sort + std::pow Zipf + copy/sort/unique
- * distinct targets) dominated their wall time. This bench regenerates
- * the numbers that exposed that gap and gates the fix: each app runs
- * under two paradigms plus its single-GPU baseline: the first paradigm
- * cell runs cold (paying the one-time graph build), the second hits
- * the workload cache — the steady state every later sweep grid point
- * sees. The perf log lands in BENCH_gen_graph.json for
- * tools/perf_compare; on top of that, the bench hard-fails if either
- * graph app's steady-state throughput drops below 1/3 of Jacobi's —
- * the ratio is machine-relative, so it is stable where absolute
- * throughput is not.
+ * Graph apps used to run ~100x slower than Jacobi because generating
+ * their input dominated their wall time. The generator now streams each
+ * edge straight into its partition's edge count and publish-set bitmap
+ * (no edge list, no sort; docs/perf.md).
+ * This bench regenerates the numbers that exposed that gap and gates
+ * the fix: each app runs under two paradigms plus its single-GPU
+ * baseline: the first paradigm cell runs cold (paying the one-time
+ * graph build), the second hits the workload cache — the steady state
+ * every later sweep grid point sees. The perf log lands in
+ * BENCH_gen_graph.json for tools/perf_compare; on top of that, the
+ * bench hard-fails if either graph app's steady-state throughput drops
+ * below 1/3 of Jacobi's — the ratio is machine-relative, so it is
+ * stable where absolute throughput is not.
  */
 
 #include <benchmark/benchmark.h>

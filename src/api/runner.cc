@@ -14,6 +14,10 @@ namespace gps
 RunResult
 Runner::run(Workload& workload)
 {
+    if (!validScale(config_.scale))
+        gps_fatal("problem scale must be in (0, 2^32], got ",
+                  config_.scale);
+
     // Snapshots freeze the bare simulation state plus the serializable
     // collectors (sampler series, timeline, causal graph). The check
     // layer and the profile collector keep live external mirrors
@@ -120,7 +124,6 @@ Runner::run(Workload& workload)
             model.numGpus = system.numGpus();
             causal->setModel(model);
         }
-        obs->startSampling(system.now());
         obs_ = obs.get();
     }
 
@@ -234,6 +237,13 @@ Runner::run(Workload& workload)
                                                  prog.histBuckets[i]);
         }
     }
+
+    // The baseline sample is taken at the tick the replay starts from,
+    // with the restored counters when resuming. A snapshot carrying
+    // collector state already restored the sampler; this is then a
+    // no-op.
+    if (obs != nullptr)
+        obs->startSampling(system.now());
 
     // --- Capture: encode the quiescent system once the requested
     // point is reached, tagged with the loop position to resume at. ---

@@ -44,7 +44,7 @@ struct RunConfig
     SystemConfig system;
     ParadigmKind paradigm = ParadigmKind::Gps;
 
-    /** Problem-size scale passed to the workload. */
+    /** Problem-size scale passed to the workload; see validScale(). */
     double scale = 1.0;
 
     /** Steady-state iterations simulated after the profiling iteration. */
@@ -119,6 +119,17 @@ struct RunConfig
      */
     bool restoreMutateForTest = false;
 };
+
+/**
+ * Whether @p scale can size a workload: in (0, 2^32]. Every app casts
+ * (base size x scale) to a 64-bit integer, which is undefined for NaN,
+ * infinity and products past 2^64; base sizes are at most 2^18.
+ */
+inline bool
+validScale(double scale)
+{
+    return scale > 0.0 && scale <= 0x1p32;
+}
 
 /** Executes workloads and produces RunResults. */
 class Runner

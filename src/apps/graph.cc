@@ -1,6 +1,6 @@
 #include "apps/graph.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -8,125 +8,102 @@
 namespace gps::apps
 {
 
-Graph
-makePowerLawGraph(const GraphParams& params)
+namespace
 {
-    gps_assert(params.numVertices > 0 && params.numParts > 0,
-               "empty graph");
-    gps_assert(params.avgDegree > 0, "zero average degree");
-    Graph graph;
-    graph.numVertices = params.numVertices;
-    graph.numParts = params.numParts;
-    graph.rowPtr.resize(params.numVertices + 1, 0);
 
-    // Flat CSR in one pass: degrees are bounded (1..2*avg-1), so the
-    // target array is sized for the worst case up front and trimmed at
-    // the end — no per-edge capacity checks, no reallocation.
-    const std::uint32_t maxDegree = 2 * params.avgDegree - 1;
-    graph.targets.resize(params.numVertices *
-                         static_cast<std::uint64_t>(maxDegree));
-    std::uint32_t* const out = graph.targets.data();
-
-    // Hub targets: one uniform draw through the precomputed inverse-CDF
-    // table instead of a std::pow per remote edge.
-    const ZipfTable hubs(params.numVertices, params.hubSkew);
-
-    Rng rng(params.seed);
-    std::uint64_t w = 0;
-    // owner(v) floors v*parts/vertices, which at uneven partition
-    // boundaries is NOT the inverse of partFirst/partEnd — so the
-    // partition range is re-derived from owner itself whenever it
-    // changes, exactly like the original per-vertex generator, keeping
-    // the emitted graph identical.
-    {
-        GpuId part = graph.owner(0);
-        std::uint64_t pfirst = graph.partFirst(part);
-        std::uint64_t pcount = graph.partEnd(part) - pfirst;
-        for (std::uint64_t v = 0; v < params.numVertices; ++v) {
-            if (graph.owner(v) != part) {
-                part = graph.owner(v);
-                pfirst = graph.partFirst(part);
-                pcount = graph.partEnd(part) - pfirst;
-            }
-            graph.rowPtr[v] = w;
-            // Degree varies 1..2*avg-1 to avoid a perfectly regular
-            // graph.
-            const std::uint32_t degree =
-                1 + static_cast<std::uint32_t>(rng.below(maxDegree));
-            const std::uint64_t row = w;
-            for (std::uint32_t e = 0; e < degree; ++e) {
-                std::uint64_t target;
-                if (rng.chance(params.locality)) {
-                    target = pfirst + rng.below(pcount);
-                } else {
-                    // Remote edges hit globally popular hubs. Vertex
-                    // ids follow the usual degree-sorted relabeling,
-                    // so hubs cluster at low ids.
-                    target = hubs(rng);
-                }
-                // Sorted insertion keeps the short row ordered as it
-                // fills (rows hold at most 2*avg-1 targets).
-                const auto t = static_cast<std::uint32_t>(target);
-                std::uint64_t pos = w;
-                while (pos > row && out[pos - 1] > t) {
-                    out[pos] = out[pos - 1];
-                    --pos;
-                }
-                out[pos] = t;
-                ++w;
-            }
-        }
-    }
-    graph.rowPtr[params.numVertices] = w;
-    graph.targets.resize(w);
-    // Graphs can outlive generation by a lot (the workload cache keeps
-    // them); return the worst-case slack to the allocator.
-    graph.targets.shrink_to_fit();
-    return graph;
-}
-
+/** The set bits of @p bits in ascending order; clears the bitmap. */
 std::vector<std::uint32_t>
-distinctTargets(const Graph& graph, std::size_t part)
+drainGroups(std::vector<std::uint64_t>& bits)
 {
-    return distinctTargetGroups(graph, part, 1);
-}
-
-std::vector<std::uint32_t>
-distinctTargetGroups(const Graph& graph, std::size_t part,
-                     std::uint32_t vertices_per_group)
-{
-    gps_assert(vertices_per_group > 0, "empty target group");
-    // Mark-and-collect over the part's target range: one pass sets a
-    // bit per touched group, one pass over the (small) bitmap emits
-    // them in ascending order — no copy, no sort, no unique.
-    const std::uint64_t num_groups =
-        (graph.numVertices + vertices_per_group - 1) / vertices_per_group;
-    std::vector<std::uint64_t> bits((num_groups + 63) / 64, 0);
-
-    const std::uint32_t* const targets = graph.targets.data();
-    const std::uint64_t efirst = graph.rowPtr[graph.partFirst(part)];
-    const std::uint64_t eend = graph.rowPtr[graph.partEnd(part)];
-    for (std::uint64_t e = efirst; e < eend; ++e) {
-        const std::uint32_t group = targets[e] / vertices_per_group;
-        bits[group >> 6] |= 1ULL << (group & 63);
-    }
-
     std::size_t count = 0;
     for (const std::uint64_t word : bits)
-        count += static_cast<std::size_t>(__builtin_popcountll(word));
+        count += static_cast<std::size_t>(std::popcount(word));
 
     std::vector<std::uint32_t> groups;
     groups.reserve(count);
     for (std::size_t word_idx = 0; word_idx < bits.size(); ++word_idx) {
-        std::uint64_t word = bits[word_idx];
-        while (word != 0) {
-            const int bit = __builtin_ctzll(word);
+        for (std::uint64_t word = bits[word_idx]; word != 0;
+             word &= word - 1)
             groups.push_back(static_cast<std::uint32_t>(
-                (word_idx << 6) + static_cast<std::size_t>(bit)));
-            word &= word - 1;
-        }
+                (word_idx << 6) +
+                static_cast<std::size_t>(std::countr_zero(word))));
+        bits[word_idx] = 0;
     }
     return groups;
+}
+
+} // namespace
+
+Graph
+makePowerLawGraph(const GraphParams& params,
+                  std::uint32_t vertices_per_group)
+{
+    gps_assert(params.numVertices > 0 && params.numParts > 0,
+               "empty graph");
+    gps_assert(params.avgDegree > 0, "zero average degree");
+    gps_assert(vertices_per_group > 0, "empty target group");
+    if (params.numVertices > (std::uint64_t(1) << 32))
+        gps_fatal("a graph of ", params.numVertices,
+                  " vertices has more than the 2^32 that 32-bit target "
+                  "ids can name");
+
+    Graph graph;
+    graph.numVertices = params.numVertices;
+    graph.numParts = params.numParts;
+    graph.partEdges.assign(params.numParts, 0);
+    graph.targetGroups.resize(params.numParts);
+
+    const std::uint32_t maxDegree = 2 * params.avgDegree - 1;
+
+    // Partitions hold consecutive vertex ranges, so walking them in
+    // order visits every vertex in id order and draws the RNG exactly as
+    // a full edge-list build would. One bitmap of touched groups serves
+    // every partition: drained into its sorted publish set (and
+    // cleared) when the partition's range ends.
+    const std::uint64_t num_groups =
+        (params.numVertices + vertices_per_group - 1) / vertices_per_group;
+    std::vector<std::uint64_t> bits((num_groups + 63) / 64, 0);
+
+    Rng rng(params.seed);
+    // Local targets come from owner(v)'s range, which at uneven
+    // boundaries is not the range [partFirst(p), partEnd(p)) holding v;
+    // it is re-derived whenever owner(v) changes.
+    GpuId local = graph.owner(0);
+    std::uint64_t lfirst = graph.partFirst(local);
+    std::uint64_t lcount = graph.partEnd(local) - lfirst;
+    for (std::size_t p = 0; p < params.numParts; ++p) {
+        const std::uint64_t vend = graph.partEnd(p);
+        std::uint64_t edges = 0;
+        for (std::uint64_t v = graph.partFirst(p); v < vend; ++v) {
+            if (graph.owner(v) != local) {
+                local = graph.owner(v);
+                lfirst = graph.partFirst(local);
+                lcount = graph.partEnd(local) - lfirst;
+            }
+            // Degree varies 1..2*avg-1 to avoid a perfectly regular
+            // graph.
+            const std::uint32_t degree =
+                1 + static_cast<std::uint32_t>(rng.below(maxDegree));
+            edges += degree;
+            for (std::uint32_t e = 0; e < degree; ++e) {
+                // Remote edges hit globally popular hubs. Vertex ids
+                // follow the usual degree-sorted relabeling, so hubs
+                // cluster at low ids. A hub draw is one std::pow: a
+                // binary search in an 8 B-per-vertex inverse-CDF table
+                // cost 3x more per draw at 2^18 vertices (cache misses
+                // on a Xeon with 2 MB of L2 per core).
+                const std::uint64_t target =
+                    rng.chance(params.locality)
+                        ? lfirst + rng.below(lcount)
+                        : rng.zipf(params.numVertices, params.hubSkew);
+                const std::uint64_t group = target / vertices_per_group;
+                bits[group >> 6] |= 1ULL << (group & 63);
+            }
+        }
+        graph.partEdges[p] = edges;
+        graph.targetGroups[p] = drainGroups(bits);
+    }
+    return graph;
 }
 
 } // namespace gps::apps

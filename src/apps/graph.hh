@@ -8,6 +8,11 @@
  * partition after a decent partitioner ran) and a heavy-tailed degree
  * distribution (remote edges concentrate on hub vertices, so remote
  * update sets are much smaller than V). Both are explicit parameters.
+ *
+ * The graph apps read only two things of a generated graph: each
+ * partition's edge count and its publish set (the distinct target
+ * groups its edges update). The generator streams every edge straight
+ * into those, so no edge array is ever stored.
  */
 
 #ifndef GPS_APPS_GRAPH_HH
@@ -21,19 +26,33 @@
 namespace gps::apps
 {
 
-/** CSR-ish edge structure (sources implicit, targets concatenated). */
+/**
+ * A generated graph reduced to what the graph apps read: the block
+ * partition of its vertices, and per partition the edge count and the
+ * publish set.
+ */
 struct Graph
 {
     std::uint64_t numVertices = 0;
     std::size_t numParts = 1;
 
-    /** rowPtr[v]..rowPtr[v+1] index targets of vertex v. */
-    std::vector<std::uint64_t> rowPtr;
-    std::vector<std::uint32_t> targets;
+    /** Out-edges of the vertices in [partFirst(p), partEnd(p)). */
+    std::vector<std::uint64_t> partEdges;
 
-    std::uint64_t numEdges() const { return targets.size(); }
+    /**
+     * Distinct target groups of those edges per partition, ascending —
+     * the per-GPU publish set of a push-style graph kernel. With 32
+     * vertices per group it is the set after warp-level atomic
+     * aggregation merges same-line updates (32 x 4 B counters per
+     * 128 B line).
+     */
+    std::vector<std::vector<std::uint32_t>> targetGroups;
 
-    /** Partition owning vertex @p v (block partition). */
+    /**
+     * Partition whose vertex range local edges of @p v draw from. At
+     * uneven partition boundaries this floor is not the inverse of
+     * partFirst/partEnd.
+     */
     GpuId
     owner(std::uint64_t v) const
     {
@@ -51,6 +70,8 @@ struct Graph
     {
         return numVertices * (p + 1) / numParts;
     }
+
+    bool operator==(const Graph&) const = default;
 };
 
 /** Generation knobs. */
@@ -69,24 +90,14 @@ struct GraphParams
     std::uint64_t seed = 42;
 };
 
-/** Build a partitioned power-law graph; targets sorted per vertex. */
-Graph makePowerLawGraph(const GraphParams& params);
-
 /**
- * Distinct target vertices of edges whose source lies in partition
- * @p part — the per-GPU publish set of a push-style graph kernel.
+ * Generate a partitioned power-law graph and reduce it, edge by edge,
+ * to per-partition edge counts and publish sets of
+ * @p vertices_per_group vertices per group. Throws FatalError for more
+ * vertices than 32-bit target ids can name.
  */
-std::vector<std::uint32_t> distinctTargets(const Graph& graph,
-                                           std::size_t part);
-
-/**
- * Distinct target *groups* of @p vertices_per_group consecutive ids —
- * the publish set after warp-level atomic aggregation merges same-line
- * updates (32 x 4 B counters per 128 B line).
- */
-std::vector<std::uint32_t> distinctTargetGroups(
-    const Graph& graph, std::size_t part,
-    std::uint32_t vertices_per_group);
+Graph makePowerLawGraph(const GraphParams& params,
+                        std::uint32_t vertices_per_group);
 
 } // namespace gps::apps
 

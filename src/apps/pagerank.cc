@@ -38,9 +38,7 @@ PagerankWorkload::setup(WorkloadContext& ctx)
     edgeLists_.assign(numGpus_, 0);
     for (std::size_t g = 0; g < numGpus_; ++g) {
         const GpuId gpu = static_cast<GpuId>(g);
-        const std::uint64_t edges =
-            graph.rowPtr[graph.partEnd(g)] -
-            graph.rowPtr[graph.partFirst(g)];
+        const std::uint64_t edges = graph.partEdges[g];
         edgeLists_[g] = ctx.allocPrivate(
             std::max<std::uint64_t>(edges, 1) * 4,
             "pagerank.edges." + std::to_string(g), gpu);
@@ -49,8 +47,7 @@ PagerankWorkload::setup(WorkloadContext& ctx)
         // *line* (warp-level aggregation merges the per-edge atomics to
         // the same 128 B line into one L2 transaction). Only the base
         // address is per-run; the group list comes from the cache.
-        const std::vector<std::uint32_t>& groups =
-            bundle_->targetGroups[g];
+        const std::vector<std::uint32_t>& groups = graph.targetGroups[g];
         std::vector<MemAccess>& trace = publishTrace_[g];
         trace.reserve(groups.size());
         for (const std::uint32_t group : groups) {
@@ -76,8 +73,7 @@ PagerankWorkload::iteration(std::size_t iter, WorkloadContext& ctx)
         const std::uint64_t vfirst = graph().partFirst(g);
         const std::uint64_t vend = graph().partEnd(g);
         const std::uint64_t own_bytes = (vend - vfirst) * 4;
-        const std::uint64_t edges =
-            graph().rowPtr[vend] - graph().rowPtr[vfirst];
+        const std::uint64_t edges = graph().partEdges[g];
 
         std::vector<Group> groups;
         // Stream own ranks (the edge list and the random per-edge

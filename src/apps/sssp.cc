@@ -35,16 +35,13 @@ SsspWorkload::setup(WorkloadContext& ctx)
     relaxTrace_.assign(numGpus_, {});
     edgeLists_.assign(numGpus_, 0);
     for (std::size_t g = 0; g < numGpus_; ++g) {
-        const std::uint64_t edges =
-            graph.rowPtr[graph.partEnd(g)] -
-            graph.rowPtr[graph.partFirst(g)];
+        const std::uint64_t edges = graph.partEdges[g];
         edgeLists_[g] = ctx.allocPrivate(
             std::max<std::uint64_t>(edges, 1) * 4,
             "sssp.edges." + std::to_string(g), static_cast<GpuId>(g));
         // Warp-aggregated atomicMin per distinct target line. Only the
         // base address is per-run; the group list comes from the cache.
-        const std::vector<std::uint32_t>& groups =
-            bundle_->targetGroups[g];
+        const std::vector<std::uint32_t>& groups = graph.targetGroups[g];
         std::vector<MemAccess>& trace = relaxTrace_[g];
         trace.reserve(groups.size());
         for (const std::uint32_t group : groups) {
@@ -69,8 +66,7 @@ SsspWorkload::iteration(std::size_t iter, WorkloadContext& ctx)
         const std::uint64_t active = std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(
                    static_cast<double>(vcount) * frontierFraction));
-        const std::uint64_t edges =
-            graph().rowPtr[vend] - graph().rowPtr[vfirst];
+        const std::uint64_t edges = graph().partEdges[g];
         const std::uint64_t active_edges = std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(static_cast<double>(edges) *
                                           frontierFraction));

@@ -32,12 +32,7 @@ buildBundle(const GraphParams& params, std::uint32_t vertices_per_group)
 {
     const auto t0 = std::chrono::steady_clock::now();
     auto bundle = std::make_shared<GraphBundle>();
-    bundle->graph = makePowerLawGraph(params);
-    bundle->verticesPerGroup = vertices_per_group;
-    bundle->targetGroups.reserve(params.numParts);
-    for (std::size_t part = 0; part < params.numParts; ++part)
-        bundle->targetGroups.push_back(distinctTargetGroups(
-            bundle->graph, part, vertices_per_group));
+    bundle->graph = makePowerLawGraph(params, vertices_per_group);
     bundle->buildSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)

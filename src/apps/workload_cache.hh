@@ -4,12 +4,14 @@
  *
  * Sweep grids re-run the same application under many simulator knobs
  * (paradigm, interconnect, queue depths, ...). Those knobs change how a
- * run replays, but not what the workload generates: the synthetic graph
- * and its per-partition publish sets depend only on the generation
- * parameters. The PR-2 RunCache memoizes finished *runs*; this layer
- * memoizes generated *inputs*, so a 30-cell grid builds each distinct
- * graph once instead of 30 times — across the sweep thread-pool and the
- * serve-mode workers alike.
+ * run replays, but not what the workload generates: a synthetic graph's
+ * per-partition edge counts and publish sets depend only on the
+ * generation parameters. The benches' RunCache memoizes finished
+ * *runs*; this layer memoizes generated *inputs*, so a 30-cell grid
+ * generates each distinct graph once instead of 30 times — across the
+ * sweep thread-pool and the serve-mode workers alike. An entry holds
+ * only what the apps read, at most 4 B per target group per partition:
+ * the generator streams the edges into it and keeps no edge array.
  *
  * Keying follows the configKey idiom (src/api/sweep.hh): a
  * deterministic serialization of every field that can change the
@@ -40,19 +42,13 @@ namespace gps::apps
 {
 
 /**
- * One generated graph workload input: the CSR graph plus the
- * per-partition distinct-target-group lists (the publish sets) every
- * graph app derives from it.
+ * One generated graph workload input: the partition shape, per-partition
+ * edge counts and publish sets every graph app reads.
  */
 struct GraphBundle
 {
+    /** makePowerLawGraph(params, vertices_per_group). */
     Graph graph;
-
-    /** distinctTargetGroups(graph, part, verticesPerGroup) per part. */
-    std::vector<std::vector<std::uint32_t>> targetGroups;
-
-    /** Group size the publish sets were built at. */
-    std::uint32_t verticesPerGroup = 1;
 
     /** Wall seconds the cold build took (generation cost telemetry). */
     double buildSeconds = 0.0;

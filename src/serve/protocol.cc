@@ -86,8 +86,12 @@ parseJobSpec(const JsonValue& spec, ServeJob& job, std::string& error)
             if (v->isBool())
                 config.obs.timeline = v->asBool();
         }
-        if (config.system.numGpus < 1 || config.scale <= 0.0) {
-            error = "job spec has non-positive \"gpus\" or \"scale\"";
+        if (config.system.numGpus < 1) {
+            error = "job spec has non-positive \"gpus\"";
+            return false;
+        }
+        if (!validScale(config.scale)) {
+            error = "job spec \"scale\" must be in (0, 2^32]";
             return false;
         }
         job.deadlineMs = static_cast<std::uint64_t>(

@@ -72,47 +72,16 @@ TEST(Rng, ZipfStaysInBoundsAndSkewsLow)
     EXPECT_GT(below_tenth, 4500u);
 }
 
-TEST(ZipfTable, MatchesDirectInversionDrawForDraw)
-{
-    // The table is a drop-in for Rng::zipf: same uniform draw in, same
-    // variate out, across small/large domains and mild/steep skews.
-    const struct
-    {
-        std::uint64_t n;
-        double s;
-    } cases[] = {{1, 0.5},    {2, 0.75},     {37, 0.99},
-                 {1000, 0.75}, {4096, 0.9},  {1 << 18, 0.6}};
-    for (const auto& c : cases) {
-        const ZipfTable table(c.n, c.s);
-        Rng table_rng(42), direct_rng(42);
-        for (int i = 0; i < 50000; ++i)
-            ASSERT_EQ(table(table_rng), direct_rng.zipf(c.n, c.s))
-                << "n=" << c.n << " s=" << c.s << " draw " << i;
-    }
-}
-
-TEST(ZipfTable, HugeDomainFallsBackToDirectFormula)
-{
-    // Domains past the table cap skip precomputation but must still
-    // reproduce the direct inversion exactly.
-    const std::uint64_t n = 1ULL << 32;
-    const ZipfTable table(n, 0.75);
-    Rng a(7), b(7);
-    for (int i = 0; i < 20000; ++i)
-        ASSERT_EQ(table(a), b.zipf(n, 0.75));
-}
-
-TEST(ZipfTable, RealizedDistributionIsBoundedPareto)
+TEST(Rng, ZipfRealizesBoundedPareto)
 {
     // Documented law: P(X < x) = (x/n)^(1-s). Check two quantiles.
     const std::uint64_t n = 100000;
     const double s = 0.75;
-    const ZipfTable table(n, s);
     Rng rng(99);
     const int draws = 100000;
     int below_tenth = 0, below_half = 0;
     for (int i = 0; i < draws; ++i) {
-        const std::uint64_t v = table(rng);
+        const std::uint64_t v = rng.zipf(n, s);
         ASSERT_LT(v, n);
         below_tenth += v < n / 10 ? 1 : 0;
         below_half += v < n / 2 ? 1 : 0;

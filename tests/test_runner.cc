@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "api/runner.hh"
@@ -227,6 +229,26 @@ TEST(Runner, SamplerPollsAtEveryKernelCompletionAndPhaseEnd)
     EXPECT_EQ(causal.edges[static_cast<std::size_t>(
                   CausalEdge::KernelToPhase)],
               kernels);
+}
+
+TEST(Runner, RejectsScaleOutsideValidRange)
+{
+    // Apps size themselves by casting k * scale to a 64-bit integer,
+    // which is undefined for NaN, infinity and huge products; the run
+    // fails before any set-up.
+    for (const double scale :
+         {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(), 1e300,
+          std::nextafter(0x1p32, 0x1p33)}) {
+        RunConfig config = toyConfig();
+        config.scale = scale;
+        ToyWorkload toy;
+        EXPECT_THROW((void)Runner(config).run(toy), FatalError) << scale;
+        EXPECT_EQ(toy.gpus, 0u) << scale;
+    }
+    EXPECT_TRUE(validScale(0.0625));
+    EXPECT_TRUE(validScale(0x1p32));
+    EXPECT_TRUE(validScale(std::numeric_limits<double>::denorm_min()));
 }
 
 } // namespace

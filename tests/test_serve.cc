@@ -547,6 +547,22 @@ TEST(ServeProtocol, RejectsMalformedRequests)
     }
 }
 
+TEST(ServeProtocol, RejectsScaleOutsideValidRange)
+{
+    // 1e999 parses to infinity; neither it nor 1e300 can size an app.
+    for (const char* scale : {"0", "-1", "1e999", "-1e999", "1e300"}) {
+        ServeRequest request;
+        std::string error;
+        EXPECT_FALSE(parseServeRequest(
+            std::string(R"({"id":1,"method":"run","params":{"app":"Jacobi",)"
+                        R"("scale":)") +
+                scale + "}}",
+            request, error))
+            << scale;
+        EXPECT_NE(error.find("scale"), std::string::npos) << error;
+    }
+}
+
 TEST(ServeProtocol, ResponseJsonSplicesPayloadVerbatim)
 {
     ServeResponse r;

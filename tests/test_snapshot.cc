@@ -499,6 +499,46 @@ TEST(SnapshotObs, RestoredObsRunIsByteIdentical)
               causalToJson(cold.obs->causal));
 }
 
+// A run resumed from a snapshot taken with collectors off takes its
+// baseline metric sample at the resume tick, from the restored counters,
+// not at tick 0 from the freshly built system.
+TEST(SnapshotObs, ResumeWithoutCollectorStateSamplesFromTheResumeTick)
+{
+    const RunConfig base = smokeConfig();
+    const std::shared_ptr<std::string> blob =
+        captureAt("Jacobi", base, {snapshot::AtKind::Iter, 2}).first;
+    ASSERT_FALSE(blob->empty());
+    const Tick resume_tick = snapshot::decodeSnapshot(*blob).progress.tBefore;
+    ASSERT_GT(resume_tick, 0u);
+
+    RunConfig resume = base;
+    resume.obs.metrics = true;
+    resume.obs.sampleEvery = 1000000;
+    resume.restoreBlob = blob;
+
+    // Resuming into a run that ends at the capture point replays
+    // nothing, so its final values are the restored counters.
+    RunConfig restored_only = resume;
+    restored_only.steadyIterations = 1;
+    const RunResult at_resume = runWorkload("Jacobi", restored_only);
+    ASSERT_NE(at_resume.obs, nullptr);
+    EXPECT_EQ(at_resume.obs->sampleTicks, std::vector<Tick>{resume_tick});
+
+    const RunResult warm = runWorkload("Jacobi", resume);
+    ASSERT_NE(warm.obs, nullptr);
+    ASSERT_GT(warm.obs->sampleTicks.size(), 1u);
+    EXPECT_EQ(warm.obs->sampleTicks.front(), resume_tick);
+    ASSERT_EQ(warm.obs->seriesColumns.size(), at_resume.obs->finals.size());
+    bool some_nonzero = false;
+    for (std::size_t m = 0; m < at_resume.obs->finals.size(); ++m) {
+        EXPECT_EQ(warm.obs->seriesColumns[m].front(),
+                  at_resume.obs->finals[m].value)
+            << at_resume.obs->finals[m].name;
+        some_nonzero |= at_resume.obs->finals[m].value != 0.0;
+    }
+    EXPECT_TRUE(some_nonzero);
+}
+
 // ---------------------------------------------------------------------
 // Atomic snapshot writes.
 // ---------------------------------------------------------------------

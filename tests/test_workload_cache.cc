@@ -58,13 +58,8 @@ TEST_F(WorkloadCacheTest, HitIsByteIdenticalToUncachedBuild)
     EXPECT_EQ(cold.get(), warm.get());
 
     // And that object matches a from-scratch, non-cached build.
-    const Graph direct = makePowerLawGraph(params);
-    EXPECT_EQ(cold->graph.rowPtr, direct.rowPtr);
-    EXPECT_EQ(cold->graph.targets, direct.targets);
-    ASSERT_EQ(cold->targetGroups.size(), params.numParts);
-    for (std::size_t p = 0; p < params.numParts; ++p)
-        EXPECT_EQ(cold->targetGroups[p],
-                  distinctTargetGroups(direct, p, 32));
+    EXPECT_EQ(cold->graph, makePowerLawGraph(params, 32));
+    EXPECT_EQ(cold->graph.targetGroups.size(), params.numParts);
 
     const WorkloadCache::Counters counters = cache.counters();
     EXPECT_EQ(counters.misses, 1u);
@@ -95,7 +90,9 @@ TEST_F(WorkloadCacheTest, DistinctKeysGetDistinctEntries)
     const auto a = cache.graphBundle(cacheParams(1), 32);
     const auto b = cache.graphBundle(cacheParams(2), 32);
     EXPECT_NE(a.get(), b.get());
-    EXPECT_NE(a->graph.targets, b->graph.targets);
+    EXPECT_EQ(a->graph, makePowerLawGraph(cacheParams(1), 32));
+    EXPECT_EQ(b->graph, makePowerLawGraph(cacheParams(2), 32));
+    EXPECT_NE(a->graph.targetGroups, b->graph.targetGroups);
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.counters().misses, 2u);
 }
@@ -123,8 +120,7 @@ TEST_F(WorkloadCacheTest, EvictionIsBoundedAndLru)
     const std::uint64_t misses_before = cache.counters().misses;
     const auto b2 = cache.graphBundle(cacheParams(2), 32);
     EXPECT_EQ(cache.counters().misses, misses_before + 1);
-    EXPECT_EQ(b2->graph.targets,
-              makePowerLawGraph(cacheParams(2)).targets);
+    EXPECT_EQ(b2->graph, makePowerLawGraph(cacheParams(2), 32));
 }
 
 TEST_F(WorkloadCacheTest, EvictedHandleStaysAlive)
@@ -135,8 +131,7 @@ TEST_F(WorkloadCacheTest, EvictedHandleStaysAlive)
     (void)cache.graphBundle(cacheParams(2), 32); // evicts seed 1
     EXPECT_EQ(cache.size(), 1u);
     // The evicted bundle is still fully usable through the handle.
-    EXPECT_EQ(held->graph.numVertices, cacheParams(1).numVertices);
-    EXPECT_FALSE(held->graph.targets.empty());
+    EXPECT_EQ(held->graph, makePowerLawGraph(cacheParams(1), 32));
 }
 
 TEST_F(WorkloadCacheTest, ConcurrentRequestsShareOneBuild)
@@ -164,9 +159,7 @@ TEST_F(WorkloadCacheTest, ConcurrentRequestsShareOneBuild)
     }
 
     // And the shared bytes equal a single-threaded build.
-    const Graph direct = makePowerLawGraph(params);
-    EXPECT_EQ(results[0]->graph.targets, direct.targets);
-    EXPECT_EQ(results[0]->graph.rowPtr, direct.rowPtr);
+    EXPECT_EQ(results[0]->graph, makePowerLawGraph(params, 32));
 }
 
 TEST_F(WorkloadCacheTest, ConcurrentDistinctKeysAllComplete)
@@ -186,6 +179,8 @@ TEST_F(WorkloadCacheTest, ConcurrentDistinctKeysAllComplete)
     for (std::size_t t = 0; t < numThreads; ++t) {
         ASSERT_NE(results[t], nullptr);
         EXPECT_EQ(results[t].get(), results[t % 3].get());
+        EXPECT_EQ(results[t]->graph,
+                  makePowerLawGraph(cacheParams(1 + t % 3), 32));
     }
     EXPECT_EQ(cache.counters().misses, 3u);
     EXPECT_EQ(cache.size(), 3u);
@@ -205,8 +200,8 @@ TEST_F(WorkloadCacheTest, CapacityZeroDisablesCaching)
     ASSERT_NE(first, nullptr);
     ASSERT_NE(second, nullptr);
     EXPECT_NE(first.get(), second.get()); // no sharing when disabled
-    EXPECT_EQ(first->graph.rowPtr, second->graph.rowPtr);
-    EXPECT_EQ(first->graph.targets, second->graph.targets);
+    EXPECT_EQ(first->graph, makePowerLawGraph(params, 32));
+    EXPECT_EQ(second->graph, makePowerLawGraph(params, 32));
 
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.counters().misses, 2u);

@@ -37,6 +37,8 @@ int
 capture(const std::string& app, const std::string& prefix,
         std::size_t gpus, double scale)
 {
+    if (!validScale(scale))
+        gps_fatal("--scale must be in (0, 2^32]");
     SystemConfig config;
     config.numGpus = gpus;
     MultiGpuSystem system(config);

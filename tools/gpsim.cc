@@ -261,6 +261,8 @@ parseArgs(int argc, char** argv)
             opts.pageBytes = parseUnsigned("--page-kb", value(i)) * KiB;
         } else if (arg == "--scale") {
             opts.scale = parseFloat("--scale", value(i));
+            if (!validScale(opts.scale))
+                gps_fatal("--scale must be in (0, 2^32]");
         } else if (arg == "--wq-entries") {
             opts.wqEntries = static_cast<std::uint32_t>(
                 parseUnsigned("--wq-entries", value(i)));
