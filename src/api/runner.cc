@@ -11,12 +11,30 @@
 namespace gps
 {
 
+std::string
+systemConfigError(const SystemConfig& system)
+{
+    if (system.numGpus < 1 || system.numGpus > maxGpus)
+        return "GPU count must be in [1, " + std::to_string(maxGpus) +
+               "], got " + std::to_string(system.numGpus);
+    const std::uint64_t page = system.pageBytes;
+    if (page < 4 * KiB || page > 2 * MiB || (page & (page - 1)) != 0)
+        return "page size must be a power of two from 4 KiB to 2 MiB, "
+               "got " + std::to_string(page) + " bytes";
+    if (system.gps.wqEntries < 1)
+        return "the remote write queue needs at least one entry";
+    return "";
+}
+
 RunResult
 Runner::run(Workload& workload)
 {
     if (!validScale(config_.scale))
         gps_fatal("problem scale must be in (0, 2^32], got ",
                   config_.scale);
+    if (const std::string error = systemConfigError(config_.system);
+        !error.empty())
+        gps_fatal(error);
 
     // Snapshots freeze the bare simulation state plus the serializable
     // collectors (sampler series, timeline, causal graph). The check
@@ -415,7 +433,7 @@ Runner::run(Workload& workload)
         if (!faults_->done())
             gps_warn("fault plan has events beyond the simulated run; ",
                      "they were never injected");
-        faults_->report().exportStats(result.stats);
+        faults_->exportStats(result.stats);
         result.faultReport = faults_->report();
         result.hasFaultReport = true;
         system.installFaultEngine(nullptr);

@@ -131,6 +131,15 @@ validScale(double scale)
     return scale > 0.0 && scale <= 0x1p32;
 }
 
+/**
+ * Why @p system is outside what the simulator builds, or "" when it is
+ * inside: 1 to maxGpus GPUs, a power-of-two page from 4 KiB to 2 MiB
+ * (the sizes the page machinery covers) and at least one remote write
+ * queue entry. Past these bounds a component's internal assert would
+ * abort the whole process instead of failing the one run.
+ */
+std::string systemConfigError(const SystemConfig& system);
+
 /** Executes workloads and produces RunResults. */
 class Runner
 {

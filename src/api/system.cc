@@ -113,12 +113,4 @@ MultiGpuSystem::registerMetrics(MetricRegistry& reg) const
     driver_->registerMetrics(reg);
 }
 
-void
-MultiGpuSystem::resetStats()
-{
-    for (auto& gpu : gpus_)
-        gpu->resetStats();
-    topology_->resetStats();
-}
-
 } // namespace gps

@@ -112,8 +112,6 @@ class MultiGpuSystem
     /** Register every component's metrics (same set as stats()). */
     void registerMetrics(MetricRegistry& reg) const;
 
-    void resetStats();
-
   private:
     SystemConfig config_;
     RunSinks sinks_;

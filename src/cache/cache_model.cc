@@ -232,16 +232,6 @@ CacheModel::hitRate() const
 }
 
 void
-CacheModel::exportStats(StatSet& out) const
-{
-    out.set(name() + ".hits", static_cast<double>(hits_));
-    out.set(name() + ".misses", static_cast<double>(misses_));
-    out.set(name() + ".evictions", static_cast<double>(evictions_));
-    out.set(name() + ".writebacks", static_cast<double>(writebacks_));
-    out.set(name() + ".hit_rate", hitRate());
-}
-
-void
 CacheModel::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';
@@ -254,15 +244,6 @@ CacheModel::registerMetrics(MetricRegistry& reg) const
     reg.counter(p + "writebacks", "events",
                 [this] { return static_cast<double>(writebacks_); });
     reg.gauge(p + "hit_rate", "ratio", [this] { return hitRate(); });
-}
-
-void
-CacheModel::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    writebacks_ = 0;
 }
 
 } // namespace gps

@@ -103,9 +103,7 @@ class CacheModel : public SimObject
     std::uint64_t misses() const { return misses_; }
     double hitRate() const;
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
 
     /** Resident lines are counted per 64 KB address region... */
     static constexpr unsigned regionShift = 16;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -53,6 +54,32 @@ envSizeT(const char* name, std::size_t fallback, std::size_t max)
     if (env == nullptr)
         return fallback;
     return parseSizeTOr(env, name, fallback, max);
+}
+
+std::uint64_t
+parseUnsigned(const char* flag, const std::string& text, std::uint64_t max)
+{
+    std::size_t value = 0;
+    if (!parseSizeT(text, value))
+        gps_fatal("invalid numeric value '", text, "' for ", flag);
+    if (value > max)
+        gps_fatal(flag, " ", value, " exceeds the maximum ", max);
+    return value;
+}
+
+double
+parseFloat(const char* flag, const std::string& text)
+{
+    std::size_t consumed = 0;
+    double value = 0.0;
+    try {
+        value = std::stod(text, &consumed);
+    } catch (const std::exception&) {
+        consumed = 0;
+    }
+    if (consumed == 0 || consumed != text.size())
+        gps_fatal("invalid numeric value '", text, "' for ", flag);
+    return value;
 }
 
 } // namespace gps

@@ -2,17 +2,20 @@
  * @file
  * Validated parsing of numeric knobs from the environment and CLI.
  *
- * Several tuning knobs (cache capacities, sweep worker counts) arrive
- * as untrusted text. Routing them through strtoul directly lets
- * garbage silently become 0 and negatives wrap to huge values; every
- * caller shares these helpers instead, so bad input warns once and
- * keeps the documented default.
+ * Several tuning knobs (cache capacities, sweep worker counts) and the
+ * command-line tools' numeric flags arrive as untrusted text. Routing
+ * them through strtoul directly lets garbage silently become 0 and
+ * negatives wrap to huge values; every caller shares these helpers
+ * instead, so a bad knob warns once and keeps the documented default
+ * and a bad flag is fatal.
  */
 
 #ifndef GPS_COMMON_ENV_HH
 #define GPS_COMMON_ENV_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace gps
@@ -42,6 +45,23 @@ std::size_t parseSizeTOr(const std::string& text, const char* what,
  */
 std::size_t envSizeT(const char* name, std::size_t fallback,
                      std::size_t max = static_cast<std::size_t>(-1));
+
+/**
+ * Parse the value of command-line @p flag as a non-negative integer no
+ * greater than @p max (parseSizeT's grammar). Fatal, naming the flag,
+ * on anything else, so a sign, junk or an overflow never becomes a
+ * wrapped or truncated count.
+ */
+std::uint64_t
+parseUnsigned(const char* flag, const std::string& text,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * Parse the value of command-line @p flag as a double spanning the
+ * whole text; fatal, naming the flag, otherwise. Range checks (NaN,
+ * infinities) are the caller's.
+ */
+double parseFloat(const char* flag, const std::string& text);
 
 } // namespace gps
 

@@ -1,17 +1,22 @@
 #include "core/access_tracker.hh"
 
+#include "obs/metric_registry.hh"
+
 namespace gps
 {
 
 void
-AccessTracker::exportStats(StatSet& out) const
+AccessTracker::registerMetrics(MetricRegistry& reg) const
 {
-    out.set(name() + ".marks", static_cast<double>(marks_));
-    std::uint64_t touched = 0;
-    for (const auto& set : perGpu_)
-        touched += set.size();
-    out.set(name() + ".touched_page_entries",
-            static_cast<double>(touched));
+    const std::string p = name() + '.';
+    reg.counter(p + "marks", "events",
+                [this] { return static_cast<double>(marks_); });
+    reg.gauge(p + "touched_page_entries", "entries", [this] {
+        std::uint64_t touched = 0;
+        for (const auto& set : perGpu_)
+            touched += set.size();
+        return static_cast<double>(touched);
+    });
 }
 
 } // namespace gps

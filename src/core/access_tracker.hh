@@ -88,7 +88,7 @@ class AccessTracker : public SimObject
 
     std::uint64_t marks() const { return marks_; }
 
-    void exportStats(StatSet& out) const override;
+    void registerMetrics(MetricRegistry& reg) const override;
 
     /**
      * Serialize the touched sets in ascending VPN order — the

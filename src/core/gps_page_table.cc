@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metric_registry.hh"
+
 namespace gps
 {
 
@@ -81,9 +83,10 @@ GpsPageTable::pteBits(std::size_t num_gpus, std::uint32_t vpn_bits,
 }
 
 void
-GpsPageTable::exportStats(StatSet& out) const
+GpsPageTable::registerMetrics(MetricRegistry& reg) const
 {
-    out.set(name() + ".entries", static_cast<double>(live_));
+    reg.gauge(name() + ".entries", "entries",
+              [this] { return static_cast<double>(live_); });
 }
 
 } // namespace gps

@@ -112,7 +112,7 @@ class GpsPageTable : public SimObject
         }
     }
 
-    void exportStats(StatSet& out) const override;
+    void registerMetrics(MetricRegistry& reg) const override;
 
     /** Serialize the dense PTE array (replica lists are ordered). */
     void

@@ -462,26 +462,6 @@ GpsParadigm::gpsTlbHitRate() const
 }
 
 void
-GpsParadigm::exportStats(StatSet& out) const
-{
-    subs_->exportStats(out);
-    gpsTable_->exportStats(out);
-    tracker_->exportStats(out);
-    for (const auto& queue : queues_)
-        queue->exportStats(out);
-    for (const auto& unit : units_)
-        unit->exportStats(out);
-    std::uint64_t forward_hits = 0;
-    for (const auto& queue : queues_)
-        forward_hits += queue->forwardHits();
-    out.set("gps.wq_forward_hits", static_cast<double>(forward_hits));
-    out.set("gps.uplink_forwards",
-            static_cast<double>(uplinkForwards_));
-    out.set("gps.wq_hit_rate", wqHitRate());
-    out.set("gps.gps_tlb_hit_rate", gpsTlbHitRate());
-}
-
-void
 GpsParadigm::registerMetrics(MetricRegistry& reg) const
 {
     subs_->registerMetrics(reg);

@@ -106,7 +106,6 @@ class GpsParadigm : public Paradigm
     /** Aggregate GPS-TLB hit rate (Section 7.4). */
     double gpsTlbHitRate() const;
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
 
     /**

@@ -28,13 +28,6 @@ GpsTranslationUnit::translate(PageNum vpn, KernelCounters& counters)
 }
 
 void
-GpsTranslationUnit::exportStats(StatSet& out) const
-{
-    tlb_->exportStats(out);
-    out.set(name() + ".walks", static_cast<double>(walks_));
-}
-
-void
 GpsTranslationUnit::registerMetrics(MetricRegistry& reg) const
 {
     tlb_->registerMetrics(reg);

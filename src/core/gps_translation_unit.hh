@@ -40,7 +40,6 @@ class GpsTranslationUnit : public SimObject
 
     std::uint64_t walks() const { return walks_; }
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
 
     /** Serialize the GPS-TLB contents and the walk counter. */

@@ -178,21 +178,6 @@ RemoteWriteQueue::sramBytes() const
 }
 
 void
-RemoteWriteQueue::exportStats(StatSet& out) const
-{
-    out.set(name() + ".inserts", static_cast<double>(inserts_));
-    out.set(name() + ".coalesced", static_cast<double>(coalesced_));
-    out.set(name() + ".drains", static_cast<double>(drains_));
-    out.set(name() + ".atomic_bypass",
-            static_cast<double>(atomicBypass_));
-    out.set(name() + ".watermark_drains",
-            static_cast<double>(watermarkDrains_));
-    out.set(name() + ".stall_drains", static_cast<double>(stallDrains_));
-    out.set(name() + ".forward_hits", static_cast<double>(forwardHits_));
-    out.set(name() + ".hit_rate", hitRate());
-}
-
-void
 RemoteWriteQueue::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';
@@ -213,18 +198,6 @@ RemoteWriteQueue::registerMetrics(MetricRegistry& reg) const
     reg.gauge(p + "occupancy", "units",
               [this] { return static_cast<double>(occupancy_); });
     reg.gauge(p + "hit_rate", "ratio", [this] { return hitRate(); });
-}
-
-void
-RemoteWriteQueue::resetStats()
-{
-    inserts_ = 0;
-    coalesced_ = 0;
-    drains_ = 0;
-    atomicBypass_ = 0;
-    watermarkDrains_ = 0;
-    forwardHits_ = 0;
-    stallDrains_ = 0;
 }
 
 } // namespace gps

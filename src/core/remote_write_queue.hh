@@ -152,9 +152,7 @@ class RemoteWriteQueue : public SimObject
     /** SRAM footprint: 512 entries * 135 B = ~68 KB (Section 5.2). */
     std::uint64_t sramBytes() const;
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats();
 
     /**
      * Serialize resident entries in FIFO order plus all counters; the

@@ -218,22 +218,6 @@ SubscriptionManager::refreshGpsBit(PageNum vpn)
 }
 
 void
-SubscriptionManager::exportStats(StatSet& out) const
-{
-    out.set(name() + ".subscribe_ops",
-            static_cast<double>(subscribeOps_));
-    out.set(name() + ".unsubscribe_ops",
-            static_cast<double>(unsubscribeOps_));
-    out.set(name() + ".oversubscription_rejects",
-            static_cast<double>(oversubscriptionRejects_));
-    out.set(name() + ".collapses", static_cast<double>(collapses_));
-    out.set(name() + ".swap_outs", static_cast<double>(swapOuts_));
-    if (replicaRetires_ > 0)
-        out.set(name() + ".replica_retires",
-                static_cast<double>(replicaRetires_));
-}
-
-void
 SubscriptionManager::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';

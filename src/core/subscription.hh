@@ -114,7 +114,6 @@ class SubscriptionManager : public SimObject
     std::uint64_t subscribeOps() const { return subscribeOps_; }
     std::uint64_t unsubscribeOps() const { return unsubscribeOps_; }
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
 
     /**

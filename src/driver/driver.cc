@@ -276,18 +276,6 @@ Driver::migratePage(PageNum vpn, GpuId to, KernelCounters& counters,
 }
 
 void
-Driver::exportStats(StatSet& out) const
-{
-    out.set("driver.pages", static_cast<double>(pages_.pages()));
-    out.set("driver.migrations", static_cast<double>(migrations_));
-    out.set("driver.shootdown_rounds",
-            static_cast<double>(shootdownRounds_));
-    out.set("driver.reclaims", static_cast<double>(reclaims_));
-    for (const auto& pt : pageTables_)
-        pt->exportStats(out);
-}
-
-void
 Driver::registerMetrics(MetricRegistry& reg) const
 {
     reg.gauge("driver.pages", "pages",

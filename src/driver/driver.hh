@@ -159,7 +159,6 @@ class Driver : public SimObject
             fn(vpn);
     }
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
 
     /**

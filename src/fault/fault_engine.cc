@@ -12,7 +12,8 @@ namespace gps
 {
 
 FaultEngine::FaultEngine(FaultPlan plan, MultiGpuSystem& system)
-    : plan_(std::move(plan)), system_(&system), rng_(plan_.seed)
+    : SimObject("faults"), plan_(std::move(plan)), system_(&system),
+      rng_(plan_.seed)
 {
     plan_.sort();
     const std::size_t num_gpus = system.numGpus();
@@ -95,28 +96,27 @@ void
 FaultEngine::registerMetrics(MetricRegistry& reg) const
 {
     const FaultReport& r = report_;
-    reg.counter("fault.injected", "events",
-                [&r] { return static_cast<double>(r.faultsInjected); });
-    reg.counter("fault.links_down", "links",
-                [&r] { return static_cast<double>(r.linksDown); });
-    reg.counter("fault.links_degraded", "links",
-                [&r] { return static_cast<double>(r.linksDegraded); });
-    reg.counter("fault.links_restored", "links",
-                [&r] { return static_cast<double>(r.linksRestored); });
-    reg.counter("fault.reroutes", "flows",
-                [&r] { return static_cast<double>(r.reroutes); });
-    reg.counter("fault.rerouted_bytes", "bytes",
-                [&r] { return static_cast<double>(r.reroutedBytes); });
-    reg.counter("fault.pcie_fallbacks", "flows",
-                [&r] { return static_cast<double>(r.pcieFallbacks); });
-    reg.counter("fault.pages_retired", "pages",
-                [&r] { return static_cast<double>(r.pagesRetired); });
-    reg.counter("fault.replicas_lost", "pages",
-                [&r] { return static_cast<double>(r.replicasLost); });
-    reg.counter("fault.resubscribes", "pages",
-                [&r] { return static_cast<double>(r.resubscribes); });
-    reg.counter("fault.wq_saturations", "events",
-                [&r] { return static_cast<double>(r.wqSaturations); });
+    const std::string p = name() + '.';
+    const auto count = [&](const char* metric, const char* unit,
+                           const std::uint64_t& field) {
+        reg.counter(p + metric, unit,
+                    [&field] { return static_cast<double>(field); });
+    };
+    count("injected", "events", r.faultsInjected);
+    count("links_down", "links", r.linksDown);
+    count("links_degraded", "links", r.linksDegraded);
+    count("links_restored", "links", r.linksRestored);
+    count("reroutes", "flows", r.reroutes);
+    count("rerouted_bytes", "bytes", r.reroutedBytes);
+    count("pcie_fallbacks", "flows", r.pcieFallbacks);
+    count("pcie_fallback_bytes", "bytes", r.pcieFallbackBytes);
+    count("pages_retired", "pages", r.pagesRetired);
+    count("replicas_lost", "pages", r.replicasLost);
+    count("pages_degraded", "pages", r.pagesDegraded);
+    count("resubscribes", "pages", r.resubscribes);
+    count("wq_saturations", "events", r.wqSaturations);
+    count("wq_saturated_drains", "entries", r.wqSaturatedDrains);
+    count("stall_ticks", "ticks", r.stallTicks);
 }
 
 } // namespace gps

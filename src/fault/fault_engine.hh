@@ -16,6 +16,7 @@
 
 #include "common/rng.hh"
 #include "fault/fault_plan.hh"
+#include "sim/sim_object.hh"
 #include "snapshot/serial.hh"
 
 namespace gps
@@ -26,7 +27,7 @@ class MultiGpuSystem;
 class Paradigm;
 
 /** Deterministic, seeded fault injector. */
-class FaultEngine
+class FaultEngine : public SimObject
 {
   public:
     /** Validates targets against the system; fatal on out-of-range ids. */
@@ -49,8 +50,8 @@ class FaultEngine
     Rng& rng() { return rng_; }
     const FaultPlan& plan() const { return plan_; }
 
-    /** Register the FaultReport counters under the "fault." prefix. */
-    void registerMetrics(MetricRegistry& reg) const;
+    /** Register every FaultReport counter under the "faults." prefix. */
+    void registerMetrics(MetricRegistry& reg) const override;
 
     /**
      * Serialize injection progress: RNG stream position, report

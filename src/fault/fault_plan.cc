@@ -161,28 +161,6 @@ FaultEvent::describe() const
     return text;
 }
 
-void
-FaultReport::exportStats(StatSet& out) const
-{
-    out.set("faults.injected", static_cast<double>(faultsInjected));
-    out.set("faults.links_down", static_cast<double>(linksDown));
-    out.set("faults.links_degraded", static_cast<double>(linksDegraded));
-    out.set("faults.links_restored", static_cast<double>(linksRestored));
-    out.set("faults.reroutes", static_cast<double>(reroutes));
-    out.set("faults.rerouted_bytes", static_cast<double>(reroutedBytes));
-    out.set("faults.pcie_fallbacks", static_cast<double>(pcieFallbacks));
-    out.set("faults.pcie_fallback_bytes",
-            static_cast<double>(pcieFallbackBytes));
-    out.set("faults.pages_retired", static_cast<double>(pagesRetired));
-    out.set("faults.replicas_lost", static_cast<double>(replicasLost));
-    out.set("faults.pages_degraded", static_cast<double>(pagesDegraded));
-    out.set("faults.resubscribes", static_cast<double>(resubscribes));
-    out.set("faults.wq_saturations", static_cast<double>(wqSaturations));
-    out.set("faults.wq_saturated_drains",
-            static_cast<double>(wqSaturatedDrains));
-    out.set("faults.stall_ticks", static_cast<double>(stallTicks));
-}
-
 FaultEvent
 FaultPlan::parseSpec(const std::string& spec)
 {

@@ -21,8 +21,6 @@
 namespace gps
 {
 
-class StatSet;
-
 /** What kind of adversity a FaultEvent injects. */
 enum class FaultKind : std::uint8_t {
     LinkDown,    ///< Path between two GPUs stops carrying traffic.
@@ -65,8 +63,6 @@ struct FaultReport {
     std::uint64_t wqSaturations = 0;
     std::uint64_t wqSaturatedDrains = 0;
     Tick stallTicks = 0;
-
-    void exportStats(StatSet& out) const;
 };
 
 /** A parsed, time-sorted schedule of faults plus injection policy. */

@@ -187,29 +187,12 @@ GpuModel::kernelTimeBreakdown(const KernelCounters& counters,
 }
 
 void
-GpuModel::exportStats(StatSet& out) const
-{
-    l2_->exportStats(out);
-    tlb_->exportStats(out);
-    coalescer_->exportStats(out);
-    memory_->exportStats(out);
-}
-
-void
 GpuModel::registerMetrics(MetricRegistry& reg) const
 {
     l2_->registerMetrics(reg);
     tlb_->registerMetrics(reg);
     coalescer_->registerMetrics(reg);
     memory_->registerMetrics(reg);
-}
-
-void
-GpuModel::resetStats()
-{
-    l2_->resetStats();
-    tlb_->resetStats();
-    coalescer_->resetStats();
 }
 
 } // namespace gps

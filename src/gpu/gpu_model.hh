@@ -129,9 +129,7 @@ class GpuModel : public SimObject
 
     const FaultTiming& faultTiming() const { return faultTiming_; }
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
 
     /** Serialize L2, TLB, coalescer, and physical-memory state. */
     void

@@ -43,13 +43,6 @@ StoreCoalescer::reset()
 }
 
 void
-StoreCoalescer::exportStats(StatSet& out) const
-{
-    out.set(name() + ".absorbed", static_cast<double>(absorbed_));
-    out.set(name() + ".forwarded", static_cast<double>(forwarded_));
-}
-
-void
 StoreCoalescer::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';
@@ -57,13 +50,6 @@ StoreCoalescer::registerMetrics(MetricRegistry& reg) const
                 [this] { return static_cast<double>(absorbed_); });
     reg.counter(p + "forwarded", "events",
                 [this] { return static_cast<double>(forwarded_); });
-}
-
-void
-StoreCoalescer::resetStats()
-{
-    absorbed_ = 0;
-    forwarded_ = 0;
 }
 
 } // namespace gps

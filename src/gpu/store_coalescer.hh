@@ -52,9 +52,7 @@ class StoreCoalescer : public SimObject
     std::uint64_t absorbed() const { return absorbed_; }
     std::uint64_t forwarded() const { return forwarded_; }
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
 
     /** Serialize the resident lines and the counters. */
     void

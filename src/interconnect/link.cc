@@ -15,13 +15,6 @@ Link::transferTime(std::uint64_t bytes) const
 }
 
 void
-Link::exportStats(StatSet& out) const
-{
-    out.set(name() + ".bytes", static_cast<double>(totalBytes_));
-    out.set(name() + ".busy_us", ticksToUs(busyTime_));
-}
-
-void
 Link::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';
@@ -29,13 +22,6 @@ Link::registerMetrics(MetricRegistry& reg) const
                 [this] { return static_cast<double>(totalBytes_); });
     reg.counter(p + "busy_us", "us",
                 [this] { return ticksToUs(busyTime_); });
-}
-
-void
-Link::resetStats()
-{
-    totalBytes_ = 0;
-    busyTime_ = 0;
 }
 
 } // namespace gps

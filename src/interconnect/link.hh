@@ -42,9 +42,7 @@ class Link : public SimObject
     std::uint64_t totalBytes() const { return totalBytes_; }
     Tick busyTime() const { return busyTime_; }
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
 
     /** Serialize lifetime byte/busy accounting. */
     void

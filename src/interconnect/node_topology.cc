@@ -185,18 +185,6 @@ NodeTopology::applyPhaseTraffic(const TrafficMatrix& traffic)
 }
 
 void
-NodeTopology::exportStats(StatSet& out) const
-{
-    Topology::exportStats(out);
-    out.set(name() + ".cross_node_bytes",
-            static_cast<double>(totalCrossNodeBytes()));
-    for (const auto& link : upEgress_)
-        link->exportStats(out);
-    for (const auto& link : upIngress_)
-        link->exportStats(out);
-}
-
-void
 NodeTopology::registerMetrics(MetricRegistry& reg) const
 {
     Topology::registerMetrics(reg);
@@ -215,17 +203,6 @@ NodeTopology::registerMetrics(MetricRegistry& reg) const
         link->registerMetrics(reg);
     for (const auto& link : upIngress_)
         link->registerMetrics(reg);
-}
-
-void
-NodeTopology::resetStats()
-{
-    Topology::resetStats();
-    std::fill(cross_.begin(), cross_.end(), 0);
-    for (auto& link : upEgress_)
-        link->resetStats();
-    for (auto& link : upIngress_)
-        link->resetStats();
 }
 
 void

@@ -92,9 +92,7 @@ class NodeTopology : public Topology
     Tick ingressTime(const TrafficMatrix& traffic,
                      GpuId gpu) const override;
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
 
     void saveState(snapshot::Serializer& out) const override;
     void restoreState(snapshot::Deserializer& in) override;

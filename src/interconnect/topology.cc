@@ -255,18 +255,6 @@ Topology::routeAroundFaults(TrafficMatrix& traffic,
 }
 
 void
-Topology::exportStats(StatSet& out) const
-{
-    out.set(name() + ".total_bytes", static_cast<double>(totalBytes_));
-    out.set(name() + ".total_payload_bytes",
-            static_cast<double>(totalPayload_));
-    for (const auto& link : egress_)
-        link->exportStats(out);
-    for (const auto& link : ingress_)
-        link->exportStats(out);
-}
-
-void
 Topology::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';
@@ -280,17 +268,6 @@ Topology::registerMetrics(MetricRegistry& reg) const
         link->registerMetrics(reg);
     for (const auto& link : ingress_)
         link->registerMetrics(reg);
-}
-
-void
-Topology::resetStats()
-{
-    totalBytes_ = 0;
-    totalPayload_ = 0;
-    for (auto& link : egress_)
-        link->resetStats();
-    for (auto& link : ingress_)
-        link->resetStats();
 }
 
 } // namespace gps

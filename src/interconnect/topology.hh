@@ -205,9 +205,7 @@ class Topology : public SimObject
     void routeAroundFaults(TrafficMatrix& traffic,
                            FaultReport& report) const;
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
 
     /**
      * Serialize link accounting, lifetime totals, and fault path state

@@ -1,6 +1,7 @@
 #include "mem/page_table.hh"
 
 #include "common/logging.hh"
+#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -42,11 +43,15 @@ PageTable::setGpsBit(PageNum vpn, bool value)
 }
 
 void
-PageTable::exportStats(StatSet& out) const
+PageTable::registerMetrics(MetricRegistry& reg) const
 {
-    out.set(name() + ".mappings", static_cast<double>(table_.size()));
-    out.set(name() + ".map_ops", static_cast<double>(mapOps_));
-    out.set(name() + ".unmap_ops", static_cast<double>(unmapOps_));
+    const std::string p = name() + '.';
+    reg.gauge(p + "mappings", "pages",
+              [this] { return static_cast<double>(table_.size()); });
+    reg.counter(p + "map_ops", "events",
+                [this] { return static_cast<double>(mapOps_); });
+    reg.counter(p + "unmap_ops", "events",
+                [this] { return static_cast<double>(unmapOps_); });
 }
 
 } // namespace gps

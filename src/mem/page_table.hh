@@ -69,7 +69,7 @@ class PageTable : public SimObject
 
     std::size_t size() const { return table_.size(); }
 
-    void exportStats(StatSet& out) const override;
+    void registerMetrics(MetricRegistry& reg) const override;
 
     /**
      * Serialize every mapping in ascending VPN order (the unordered

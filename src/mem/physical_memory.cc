@@ -80,19 +80,6 @@ PhysicalMemory::retireFrames(std::uint64_t count)
 }
 
 void
-PhysicalMemory::exportStats(StatSet& out) const
-{
-    out.set(name() + ".frames_in_use",
-            static_cast<double>(framesInUse_));
-    out.set(name() + ".frames_peak",
-            static_cast<double>(peakFramesInUse_));
-    out.set(name() + ".frames_total", static_cast<double>(totalFrames_));
-    if (framesRetired_ > 0)
-        out.set(name() + ".frames_retired",
-                static_cast<double>(framesRetired_));
-}
-
-void
 PhysicalMemory::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';

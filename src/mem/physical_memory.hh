@@ -75,7 +75,6 @@ class PhysicalMemory : public SimObject
 
     const PageGeometry& geometry() const { return geometry_; }
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
 
     /**

@@ -95,16 +95,6 @@ Tlb::hitRate() const
 }
 
 void
-Tlb::exportStats(StatSet& out) const
-{
-    out.set(name() + ".hits", static_cast<double>(hits_));
-    out.set(name() + ".misses", static_cast<double>(misses_));
-    out.set(name() + ".evictions", static_cast<double>(evictions_));
-    out.set(name() + ".shootdowns", static_cast<double>(shootdowns_));
-    out.set(name() + ".hit_rate", hitRate());
-}
-
-void
 Tlb::registerMetrics(MetricRegistry& reg) const
 {
     const std::string p = name() + '.';
@@ -117,15 +107,6 @@ Tlb::registerMetrics(MetricRegistry& reg) const
     reg.counter(p + "shootdowns", "events",
                 [this] { return static_cast<double>(shootdowns_); });
     reg.gauge(p + "hit_rate", "ratio", [this] { return hitRate(); });
-}
-
-void
-Tlb::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    shootdowns_ = 0;
 }
 
 } // namespace gps

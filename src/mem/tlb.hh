@@ -72,9 +72,7 @@ class Tlb : public SimObject
     /** Hit fraction over all lookups (0 when never probed). */
     double hitRate() const;
 
-    void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
 
     /** Serialize every entry, the LRU clock, and the counters. */
     void

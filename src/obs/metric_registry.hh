@@ -1,18 +1,19 @@
 /**
  * @file
- * Pull-based metric registry: the observability layer's component seam.
+ * Pull-based metric registry: every component's one list of counters.
  *
  * Components register named, typed metrics whose values are *read* on
- * demand through a getter closure instead of being pushed into ad-hoc
- * StatSet dumps. Registration only happens when observability is enabled
- * for a run, and reading a metric never mutates component state, so the
- * simulation's hot paths carry zero overhead (and produce byte-identical
- * results) whether or not a registry exists.
+ * demand through a getter closure. The observability layer samples a
+ * registry of the whole system; SimObject::exportStats() reads a
+ * scratch registry of one component into the run's StatSet. Reading a
+ * metric never mutates component state, so the simulation's hot paths
+ * carry zero overhead (and produce byte-identical results) whether or
+ * not a registry exists.
  *
  * Naming scheme (see docs/observability.md):
  *   <component>.<subcomponent>.<metric>, e.g.
  *   gpu0.l2.hits, interconnect.gpu2.egress.bytes,
- *   gpu1.remote_write_queue.drains, driver.migrations, fault.reroutes
+ *   gpu1.remote_write_queue.drains, driver.migrations, faults.reroutes
  */
 
 #ifndef GPS_OBS_METRIC_REGISTRY_HH

@@ -187,9 +187,6 @@ class Paradigm : public SimObject
         return false;
     }
 
-    /** Paradigm-specific stats. */
-    void exportStats(StatSet& out) const override { (void)out; }
-
     /**
      * Serialize paradigm-owned mutable state (GPS queues and tables,
      * bulk-synchronous dirty tracking). The base implementation

@@ -1,6 +1,8 @@
 #include "serve/protocol.hh"
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/json.hh"
@@ -46,6 +48,33 @@ paradigmFromName(const std::string& name)
 namespace
 {
 
+/**
+ * Read the optional integer member @p key of @p obj into @p out; absent
+ * keeps @p out. Present, it must be a finite, integral JSON number in
+ * [0, max]: a bare cast of anything else is undefined or silently
+ * wrong. On failure sets @p error naming the key.
+ */
+template <typename T>
+bool
+readUnsigned(const JsonValue& obj, const char* key, T& out,
+             std::string& error, T max = std::numeric_limits<T>::max())
+{
+    const JsonValue* v = obj.find(key);
+    if (v == nullptr)
+        return true;
+    // 2^64 is the first double past every std::uint64_t, so the range
+    // is settled before the cast.
+    const double d = v->isNumber() ? v->asNumber() : -1.0;
+    if (!(d >= 0.0 && d < 0x1p64 && d == std::floor(d)) ||
+        static_cast<std::uint64_t>(d) > max) {
+        error = std::string("\"") + key + "\" must be an integer in [0, " +
+                std::to_string(max) + "]";
+        return false;
+    }
+    out = static_cast<T>(d);
+    return true;
+}
+
 /** Parse one job spec object into a ServeJob (id/index set later). */
 bool
 parseJobSpec(const JsonValue& spec, ServeJob& job, std::string& error)
@@ -54,54 +83,74 @@ parseJobSpec(const JsonValue& spec, ServeJob& job, std::string& error)
         error = "job spec must be an object";
         return false;
     }
+    // A known key of the wrong JSON type is an error, never a silent
+    // fallback to its default. Integer keys are readUnsigned()'s.
+    struct Typed
+    {
+        const char* key;
+        bool (JsonValue::*is)() const;
+        const char* type;
+    };
+    static const Typed typed[] = {
+        {"app", &JsonValue::isString, "a string"},
+        {"paradigm", &JsonValue::isString, "a string"},
+        {"interconnect", &JsonValue::isString, "a string"},
+        {"scale", &JsonValue::isNumber, "a number"},
+        {"auto_unsubscribe", &JsonValue::isBool, "a boolean"},
+        {"check", &JsonValue::isBool, "a boolean"},
+        {"timeline", &JsonValue::isBool, "a boolean"},
+        {"no_cache", &JsonValue::isBool, "a boolean"},
+    };
+    for (const Typed& t : typed) {
+        const JsonValue* v = spec.find(t.key);
+        if (v != nullptr && !(v->*t.is)()) {
+            error = std::string("job spec \"") + t.key + "\" must be " +
+                    t.type;
+            return false;
+        }
+    }
     job.workload = spec.string("app");
     if (job.workload.empty()) {
         error = "job spec is missing \"app\"";
         return false;
     }
+    // Absent keys keep RunConfig's defaults.
+    RunConfig& config = job.config;
+    std::uint64_t page_kb = config.system.pageBytes / KiB;
+    if (!readUnsigned(spec, "gpus", config.system.numGpus, error) ||
+        !readUnsigned(spec, "page_kb", page_kb, error,
+                      std::numeric_limits<std::uint64_t>::max() / KiB) ||
+        !readUnsigned(spec, "wq_entries", config.system.gps.wqEntries,
+                      error) ||
+        !readUnsigned(spec, "steady_iterations", config.steadyIterations,
+                      error) ||
+        !readUnsigned(spec, "deadline_ms", job.deadlineMs, error,
+                      maxDeadlineMs))
+        return false;
+    config.system.pageBytes = page_kb * KiB;
     try {
-        RunConfig& config = job.config;
         config.paradigm = paradigmFromName(spec.string("paradigm", "GPS"));
-        config.system.numGpus = static_cast<std::size_t>(
-            spec.number("gpus", 4.0));
         config.system.interconnect =
             interconnectFromName(spec.string("interconnect", "pcie3"));
-        config.system.pageBytes = static_cast<std::uint64_t>(
-                                      spec.number("page_kb", 64.0)) *
-                                  KiB;
-        config.scale = spec.number("scale", 1.0);
-        config.system.gps.wqEntries = static_cast<std::uint32_t>(
-            spec.number("wq_entries", 512.0));
-        if (const JsonValue* v = spec.find("auto_unsubscribe")) {
-            if (v->isBool())
-                config.system.gps.autoUnsubscribe = v->asBool();
-        }
-        config.steadyIterations = static_cast<std::size_t>(
-            spec.number("steady_iterations", 4.0));
-        if (const JsonValue* v = spec.find("check")) {
-            if (v->isBool())
-                config.check.enabled = v->asBool();
-        }
-        if (const JsonValue* v = spec.find("timeline")) {
-            if (v->isBool())
-                config.obs.timeline = v->asBool();
-        }
-        if (config.system.numGpus < 1) {
-            error = "job spec has non-positive \"gpus\"";
-            return false;
-        }
-        if (!validScale(config.scale)) {
-            error = "job spec \"scale\" must be in (0, 2^32]";
-            return false;
-        }
-        job.deadlineMs = static_cast<std::uint64_t>(
-            spec.number("deadline_ms", 0.0));
-        if (const JsonValue* v = spec.find("no_cache")) {
-            if (v->isBool())
-                job.noCache = v->asBool();
-        }
     } catch (const FatalError& e) {
         error = e.what();
+        return false;
+    }
+    config.scale = spec.number("scale", 1.0);
+    if (const JsonValue* v = spec.find("auto_unsubscribe"))
+        config.system.gps.autoUnsubscribe = v->asBool();
+    if (const JsonValue* v = spec.find("check"))
+        config.check.enabled = v->asBool();
+    if (const JsonValue* v = spec.find("timeline"))
+        config.obs.timeline = v->asBool();
+    if (const JsonValue* v = spec.find("no_cache"))
+        job.noCache = v->asBool();
+    if (config.system.numGpus < 1) {
+        error = "job spec has non-positive \"gpus\"";
+        return false;
+    }
+    if (!validScale(config.scale)) {
+        error = "job spec \"scale\" must be in (0, 2^32]";
         return false;
     }
     return true;
@@ -124,7 +173,8 @@ parseServeRequest(const std::string& line, ServeRequest& out,
         error = "request must be a JSON object";
         return false;
     }
-    out.id = static_cast<std::uint64_t>(doc->number("id", 0.0));
+    if (!readUnsigned(*doc, "id", out.id, error))
+        return false;
     out.method = doc->string("method");
     if (out.method.empty()) {
         error = "request is missing \"method\"";
@@ -164,11 +214,12 @@ parseServeRequest(const std::string& line, ServeRequest& out,
     } else if (out.method == "cancel") {
         const JsonValue* target =
             params != nullptr ? params->find("id") : nullptr;
-        if (target == nullptr || !target->isNumber()) {
+        if (target == nullptr) {
             error = "\"cancel\" needs a numeric params.id";
             return false;
         }
-        out.cancelId = static_cast<std::uint64_t>(target->asNumber());
+        if (!readUnsigned(*params, "id", out.cancelId, error))
+            return false;
     } else if (out.method != "stats" && out.method != "metrics" &&
                out.method != "ping" && out.method != "shutdown") {
         error = "unknown method '" + out.method + "'";

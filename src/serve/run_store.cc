@@ -20,7 +20,12 @@ namespace gps
 namespace
 {
 
-constexpr std::uint32_t storeVersion = 1;
+/**
+ * Bumped whenever a stored payload would differ from a fresh run's;
+ * older entries are then quarantined and recomputed. 2: the stat dump
+ * lists every registered metric.
+ */
+constexpr std::uint32_t storeVersion = 2;
 constexpr const char* tempInfix = ".tmp.";
 constexpr const char* quarantineSuffix = ".quarantined";
 

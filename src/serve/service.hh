@@ -50,6 +50,13 @@
 namespace gps
 {
 
+/**
+ * Longest deadline a job or the service default may carry (about 31
+ * years): enqueue time plus the deadline then stays inside the steady
+ * clock's signed 64-bit nanosecond range.
+ */
+constexpr std::uint64_t maxDeadlineMs = 1'000'000'000'000;
+
 class MetricRegistry;
 
 /** Scheduler knobs (see gpsim --serve). */
@@ -61,7 +68,10 @@ struct ServeConfig
     /** Max pending jobs across all clients before load shedding. */
     std::size_t maxQueue = 64;
 
-    /** Deadline applied to jobs that do not carry one; 0 = none. */
+    /**
+     * Deadline applied to jobs that do not carry one; 0 = none. At most
+     * maxDeadlineMs, like a job's own.
+     */
     std::uint64_t defaultDeadlineMs = 0;
 
     /** Run store directory; empty disables the store. */

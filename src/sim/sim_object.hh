@@ -17,9 +17,9 @@ namespace gps
 class MetricRegistry;
 
 /**
- * A named component of the simulated system. Components expose their
- * counters through exportStats() so the runner can aggregate a full system
- * snapshot after a run.
+ * A named component of the simulated system. Its counters are listed
+ * once, in registerMetrics(); the run's StatSet (exportStats()) and the
+ * observability registry both read that one list.
  */
 class SimObject
 {
@@ -35,19 +35,17 @@ class SimObject
 
     const std::string& name() const { return name_; }
 
-    /** Append this component's stats, prefixed with its name. */
-    virtual void exportStats(StatSet& out) const { (void)out; }
-
     /**
      * Register this component's metrics (prefixed with its name) into
-     * the observability registry. Only called when observability is
-     * enabled for a run; getters must be read-only (see
-     * obs/metric_registry.hh).
+     * @p reg. Getters must be read-only (see obs/metric_registry.hh).
      */
     virtual void registerMetrics(MetricRegistry& reg) const { (void)reg; }
 
-    /** Reset all statistic counters (not architectural state). */
-    virtual void resetStats() {}
+    /**
+     * Set one stat per metric registerMetrics() lists, same name, its
+     * current value.
+     */
+    void exportStats(StatSet& out) const;
 
   private:
     std::string name_;

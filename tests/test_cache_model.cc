@@ -130,7 +130,6 @@ TEST_P(CacheCapacity, SequentialWorkingSetWithinCapacityAllHits)
     CacheModel cache("c", capacity, 128, ways);
     for (Addr a = 0; a < capacity; a += 128)
         cache.access(a, false);
-    cache.resetStats();
     for (Addr a = 0; a < capacity; a += 128)
         ASSERT_TRUE(cache.access(a, false).hit) << "addr " << a;
 }
@@ -141,7 +140,6 @@ TEST_P(CacheCapacity, DoubleCapacityStreamEvicts)
     CacheModel cache("c", capacity, 128, ways);
     for (Addr a = 0; a < 2 * capacity; a += 128)
         cache.access(a, false);
-    cache.resetStats();
     std::uint64_t hits = 0;
     for (Addr a = 0; a < 2 * capacity; a += 128)
         hits += cache.access(a, false).hit ? 1 : 0;

@@ -249,18 +249,6 @@ TEST(NodeTopology, SingleNodeMatchesFlatTopology)
 
 // --- Regression tests for the flat-topology stats/restore fixes ---
 
-TEST(Topology, ResetStatsClearsTotalPayload)
-{
-    Topology topo("ic", 2, InterconnectKind::Pcie3);
-    TrafficMatrix traffic(2);
-    traffic.add(0, 1, 1000, 900);
-    topo.applyPhaseTraffic(traffic);
-    ASSERT_EQ(topo.totalPayloadBytes(), 900u);
-    topo.resetStats();
-    EXPECT_EQ(topo.totalBytes(), 0u);
-    EXPECT_EQ(topo.totalPayloadBytes(), 0u);
-}
-
 TEST(Topology, ExportStatsIncludesTotalPayloadBytes)
 {
     Topology topo("ic", 2, InterconnectKind::Pcie3);

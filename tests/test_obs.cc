@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -200,28 +201,61 @@ TEST(Observability, DisabledPathIsByteIdentical)
 
 TEST(Observability, MetricsMatchTheStatSet)
 {
-    RunConfig config = obsConfig();
-    config.obs.metrics = true;
-    const RunResult result = runWorkload("Jacobi", config);
-    ASSERT_NE(result.obs, nullptr);
-    EXPECT_TRUE(result.obs->hasMetrics);
-    EXPECT_FALSE(result.obs->hasTimeline);
-    EXPECT_FALSE(result.obs->finals.empty());
+    // Stats and metrics are one list: every metric's final value is the
+    // stat of the same name, and every stat but the run totals is a
+    // metric. The GPS run spans two nodes under a degraded link and
+    // retired frames, so the uplink, fault and retirement counters are
+    // in the set too.
+    RunConfig gps = obsConfig();
+    gps.system.numGpus = 16;
+    gps.system.numNodes = 2;
+    gps.system.interconnect = InterconnectKind::NvLink3;
+    gps.faultPlan.addSpec("link:degrade@0:0-1:0.5");
+    gps.faultPlan.addSpec("page:retire@20us:gpu2:16");
+    gps.faultPlan.sort();
+    RunConfig um = obsConfig();
+    um.paradigm = ParadigmKind::Um;
+    RunConfig memcpy = obsConfig();
+    memcpy.paradigm = ParadigmKind::Memcpy;
 
-    // Spot-check that the registry reads the same counters exportStats
-    // dumps, across all instrumented layers.
-    for (const std::string name :
-         {"gpu0.l2.hits", "gpu1.tlb.misses", "interconnect.total_bytes",
-          "gpu0.remote_write_queue.drains", "driver.migrations",
-          "gps.wq_hit_rate"}) {
-        bool found = false;
+    for (RunConfig config : {gps, um, memcpy}) {
+        config.obs.metrics = true;
+        const RunResult result = runWorkload("Jacobi", config);
+        const std::string run = to_string(config.paradigm);
+        ASSERT_NE(result.obs, nullptr) << run;
+        EXPECT_TRUE(result.obs->hasMetrics) << run;
+        EXPECT_FALSE(result.obs->hasTimeline) << run;
+
+        std::set<std::string> metrics;
         for (const MetricValue& m : result.obs->finals) {
-            if (m.name != name)
-                continue;
-            found = true;
-            EXPECT_DOUBLE_EQ(m.value, result.stats.get(name)) << name;
+            metrics.insert(m.name);
+            ASSERT_TRUE(result.stats.has(m.name)) << run << ' ' << m.name;
+            EXPECT_EQ(m.value, result.stats.get(m.name))
+                << run << ' ' << m.name;
         }
-        EXPECT_TRUE(found) << name;
+        for (const auto& [name, value] : result.stats.all()) {
+            if (name.rfind("totals.", 0) == 0)
+                continue;
+            EXPECT_EQ(metrics.count(name), 1u) << run << ' ' << name;
+        }
+        if (config.paradigm == ParadigmKind::Gps) {
+            EXPECT_EQ(result.stats.get("faults.injected"), 2.0);
+            EXPECT_GT(result.stats.get("gpu2.dram.frames_retired"), 0.0);
+            EXPECT_EQ(metrics.count("interconnect.uplink_faults"), 1u);
+            // The report fields the fault metrics once lacked.
+            const FaultReport& r = result.faultReport;
+            for (const auto& [name, field] :
+                 {std::pair{"faults.pcie_fallback_bytes",
+                            r.pcieFallbackBytes},
+                  std::pair{"faults.pages_degraded", r.pagesDegraded},
+                  std::pair{"faults.wq_saturated_drains",
+                            r.wqSaturatedDrains},
+                  std::pair{"faults.stall_ticks", r.stallTicks}}) {
+                EXPECT_EQ(metrics.count(name), 1u) << name;
+                EXPECT_EQ(result.stats.get(name), static_cast<double>(field))
+                    << name;
+            }
+        }
     }
 }
 
@@ -348,7 +382,7 @@ TEST(Observability, FaultEventsLandOnTheFaultTrack)
     EXPECT_TRUE(fault_event);
     bool injected = false;
     for (const MetricValue& m : result.obs->finals)
-        if (m.name == "fault.injected") {
+        if (m.name == "faults.injected") {
             injected = true;
             EXPECT_DOUBLE_EQ(m.value, 1.0);
         }

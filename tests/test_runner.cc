@@ -251,5 +251,43 @@ TEST(Runner, RejectsScaleOutsideValidRange)
     EXPECT_TRUE(validScale(std::numeric_limits<double>::denorm_min()));
 }
 
+TEST(Runner, RejectsOutOfRangeSystemConfig)
+{
+    // Past these bounds a component assert would abort the whole
+    // process; the run fails with a FatalError before any set-up.
+    const std::pair<const char*, void (*)(SystemConfig&)> bad[] = {
+        {"0 GPUs", [](SystemConfig& s) { s.numGpus = 0; }},
+        {"257 GPUs", [](SystemConfig& s) { s.numGpus = maxGpus + 1; }},
+        {"0 B pages", [](SystemConfig& s) { s.pageBytes = 0; }},
+        {"2 KiB pages", [](SystemConfig& s) { s.pageBytes = 2 * KiB; }},
+        {"3 KiB pages", [](SystemConfig& s) { s.pageBytes = 3 * KiB; }},
+        {"96 KiB pages", [](SystemConfig& s) { s.pageBytes = 96 * KiB; }},
+        {"4 MiB pages", [](SystemConfig& s) { s.pageBytes = 4 * MiB; }},
+        {"0 WQ entries", [](SystemConfig& s) { s.gps.wqEntries = 0; }},
+    };
+    for (const auto& [what, mutate] : bad) {
+        RunConfig config = toyConfig();
+        mutate(config.system);
+        EXPECT_FALSE(systemConfigError(config.system).empty()) << what;
+        ToyWorkload toy;
+        EXPECT_THROW((void)Runner(config).run(toy), FatalError) << what;
+        EXPECT_EQ(toy.gpus, 0u) << what;
+    }
+
+    // The bounds themselves are inside.
+    const std::pair<const char*, void (*)(SystemConfig&)> good[] = {
+        {"1 GPU", [](SystemConfig& s) { s.numGpus = 1; }},
+        {"256 GPUs", [](SystemConfig& s) { s.numGpus = maxGpus; }},
+        {"4 KiB pages", [](SystemConfig& s) { s.pageBytes = 4 * KiB; }},
+        {"2 MiB pages", [](SystemConfig& s) { s.pageBytes = 2 * MiB; }},
+        {"1 WQ entry", [](SystemConfig& s) { s.gps.wqEntries = 1; }},
+    };
+    for (const auto& [what, mutate] : good) {
+        SystemConfig system = toyConfig().system;
+        mutate(system);
+        EXPECT_EQ(systemConfigError(system), "") << what;
+    }
+}
+
 } // namespace
 } // namespace gps

@@ -563,6 +563,68 @@ TEST(ServeProtocol, RejectsScaleOutsideValidRange)
     }
 }
 
+TEST(ServeProtocol, RejectsNonIntegralOrOutOfRangeNumbers)
+{
+    // Integers arrive as JSON doubles. A negative, fractional, infinite,
+    // too large or mistyped one is rejected naming its key, never cast.
+    const std::pair<const char*, const char*> bad[] = {
+        {R"("gpus":-1)", "gpus"},
+        {R"("gpus":2.5)", "gpus"},
+        {R"("gpus":1e300)", "gpus"},
+        {R"("gpus":"8")", "gpus"},
+        {R"("page_kb":-64)", "page_kb"},
+        {R"("page_kb":1e19)", "page_kb"},
+        {R"("wq_entries":4294967296)", "wq_entries"},
+        {R"("wq_entries":0.5)", "wq_entries"},
+        {R"("steady_iterations":-1)", "steady_iterations"},
+        {R"("steady_iterations":1e999)", "steady_iterations"},
+        {R"("deadline_ms":-5)", "deadline_ms"},
+        {R"("deadline_ms":1e300)", "deadline_ms"},
+        {R"("scale":"0.5")", "scale"},
+        {R"("paradigm":5)", "paradigm"},
+        {R"("check":1)", "check"},
+        {R"("no_cache":"true")", "no_cache"},
+    };
+    for (const auto& [field, key] : bad) {
+        ServeRequest request;
+        std::string error;
+        EXPECT_FALSE(parseServeRequest(
+            std::string(R"({"id":1,"method":"run","params":{"app":"Jacobi",)") +
+                field + "}}",
+            request, error))
+            << field;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+    for (const std::string id : {"-1", "1.5", "1e300", R"("7")"}) {
+        ServeRequest request;
+        std::string error;
+        EXPECT_FALSE(parseServeRequest(
+            R"({"id":)" + id + R"(,"method":"ping"})", request, error))
+            << id;
+        EXPECT_NE(error.find("\"id\""), std::string::npos) << error;
+        EXPECT_FALSE(parseServeRequest(
+            R"({"id":1,"method":"cancel","params":{"id":)" + id + "}}",
+            request, error))
+            << id;
+        EXPECT_NE(error.find("\"id\""), std::string::npos) << error;
+    }
+
+    // The largest values that fit each field still parse exactly.
+    ServeRequest request;
+    std::string error;
+    ASSERT_TRUE(parseServeRequest(
+        R"({"id":9007199254740992,"method":"run","params":{"app":"Jacobi",)"
+        R"("wq_entries":4294967295,"steady_iterations":0,)"
+        R"("deadline_ms":1000000000000}})",
+        request, error))
+        << error;
+    EXPECT_EQ(request.id, std::uint64_t{1} << 53);
+    ASSERT_EQ(request.jobs.size(), 1u);
+    EXPECT_EQ(request.jobs[0].config.system.gps.wqEntries, 4294967295u);
+    EXPECT_EQ(request.jobs[0].config.steadyIterations, 0u);
+    EXPECT_EQ(request.jobs[0].deadlineMs, maxDeadlineMs);
+}
+
 TEST(ServeProtocol, ResponseJsonSplicesPayloadVerbatim)
 {
     ServeResponse r;

@@ -25,6 +25,7 @@
 #include "api/system.hh"
 #include "apps/trace_workload.hh"
 #include "apps/workload.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "trace/trace_file.hh"
 
@@ -41,6 +42,8 @@ capture(const std::string& app, const std::string& prefix,
         gps_fatal("--scale must be in (0, 2^32]");
     SystemConfig config;
     config.numGpus = gpus;
+    if (const std::string error = systemConfigError(config); !error.empty())
+        gps_fatal(error);
     MultiGpuSystem system(config);
     auto paradigm = makeParadigm(ParadigmKind::Memcpy, system);
     WorkloadContext ctx(system, *paradigm);
@@ -213,9 +216,9 @@ main(int argc, char** argv)
             double scale = 0.25;
             for (int i = 4; i + 1 < argc; i += 2) {
                 if (std::strcmp(argv[i], "--gpus") == 0)
-                    gpus = std::stoul(argv[i + 1]);
+                    gpus = parseUnsigned("--gpus", argv[i + 1]);
                 else if (std::strcmp(argv[i], "--scale") == 0)
-                    scale = std::stod(argv[i + 1]);
+                    scale = parseFloat("--scale", argv[i + 1]);
                 else
                     usage(1);
             }

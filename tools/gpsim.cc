@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "api/result_export.hh"
 #include "api/runner.hh"
 #include "api/sweep.hh"
+#include "common/env.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "fault/fault_plan.hh"
@@ -78,44 +80,6 @@ struct Options
     std::string socketPath;      ///< unix socket; empty: serve stdio
     ServeConfig serveConfig;     ///< scheduler + store settings
 };
-
-/**
- * Strict numeric flag parsing: the whole token must be a non-negative
- * integer. std::stoul alone would accept trailing junk, wrap negatives
- * and throw uncaught std::invalid_argument/std::out_of_range on garbage.
- */
-std::uint64_t
-parseUnsigned(const char* flag, const std::string& text)
-{
-    std::size_t consumed = 0;
-    std::uint64_t value = 0;
-    try {
-        if (text.empty() || text[0] == '-' || text[0] == '+')
-            throw std::invalid_argument(text);
-        value = std::stoull(text, &consumed);
-    } catch (const std::exception&) {
-        consumed = 0;
-    }
-    if (consumed != text.size())
-        gps_fatal("invalid numeric value '", text, "' for ", flag);
-    return value;
-}
-
-/** Strict floating-point flag parsing (same contract as above). */
-double
-parseFloat(const char* flag, const std::string& text)
-{
-    std::size_t consumed = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &consumed);
-    } catch (const std::exception&) {
-        consumed = 0;
-    }
-    if (consumed != text.size())
-        gps_fatal("invalid numeric value '", text, "' for ", flag);
-    return value;
-}
 
 [[noreturn]] void
 usage(const char* argv0, int exit_code)
@@ -258,14 +222,21 @@ parseArgs(int argc, char** argv)
         } else if (arg == "--inter-node") {
             opts.interNode = interconnectFromName(value(i));
         } else if (arg == "--page-kb") {
-            opts.pageBytes = parseUnsigned("--page-kb", value(i)) * KiB;
+            // Bounded so the multiply cannot wrap; the page-size range
+            // itself is systemConfigError()'s.
+            opts.pageBytes =
+                parseUnsigned("--page-kb", value(i),
+                              std::numeric_limits<std::uint64_t>::max() /
+                                  KiB) *
+                KiB;
         } else if (arg == "--scale") {
             opts.scale = parseFloat("--scale", value(i));
             if (!validScale(opts.scale))
                 gps_fatal("--scale must be in (0, 2^32]");
         } else if (arg == "--wq-entries") {
             opts.wqEntries = static_cast<std::uint32_t>(
-                parseUnsigned("--wq-entries", value(i)));
+                parseUnsigned("--wq-entries", value(i),
+                              std::numeric_limits<std::uint32_t>::max()));
         } else if (arg == "--fault") {
             opts.faultPlan.addSpec(value(i));
         } else if (arg == "--fault-plan") {
@@ -382,7 +353,8 @@ parseArgs(int argc, char** argv)
                 parseUnsigned("--max-queue", value(i)), 1);
         } else if (arg == "--default-deadline-ms") {
             opts.serveConfig.defaultDeadlineMs =
-                parseUnsigned("--default-deadline-ms", value(i));
+                parseUnsigned("--default-deadline-ms", value(i),
+                              maxDeadlineMs);
         } else if (arg == "--stats") {
             opts.dumpStats = true;
         } else if (arg == "--config") {
@@ -644,6 +616,18 @@ main(int argc, char** argv)
                        ? front.runStdio()
                        : front.runSocket(opts.socketPath);
         }
+        const std::vector<std::size_t> gpu_counts =
+            opts.gpuSweep.empty()
+                ? std::vector<std::size_t>{opts.gpus}
+                : opts.gpuSweep;
+        // A system no run could build fails here, before any run.
+        for (const std::size_t gpus : gpu_counts) {
+            SystemConfig system = makeConfig(opts).system;
+            system.numGpus = gpus;
+            if (const std::string error = systemConfigError(system);
+                !error.empty())
+                gps_fatal(error);
+        }
         if (opts.dumpConfig) {
             MultiGpuSystem system(makeConfig(opts).system);
             std::printf("%s", system.configDump().render().c_str());
@@ -681,10 +665,6 @@ main(int argc, char** argv)
             requireWritable("--snapshot-out", opts.snapshotOut);
         }
 
-        std::vector<std::size_t> gpu_counts =
-            opts.gpuSweep.empty()
-                ? std::vector<std::size_t>{opts.gpus}
-                : opts.gpuSweep;
         if (!opts.json) {
             std::printf("%-10s %-12s %5s %10s %12s %9s %8s %8s\n",
                         "app", "paradigm", "gpus", "time(ms)",
