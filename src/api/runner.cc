@@ -254,6 +254,9 @@ Runner::run(Workload& workload)
                     result.subscriberHist.sample(i,
                                                  prog.histBuckets[i]);
         }
+        // Nothing reads the decoded snapshot past this point; its body
+        // is as large as the encoded bytes.
+        snap.reset();
     }
 
     // The baseline sample is taken at the tick the replay starts from,
@@ -298,12 +301,12 @@ Runner::run(Workload& workload)
             obs->saveState(obs_out);
             prog.obsState = obs_out.bytes();
         }
-        const std::string bytes = snapshot::encodeSnapshot(
+        std::string bytes = snapshot::encodeSnapshot(
             system, *paradigm, fault_engine.get(), meta, prog);
         if (!config_.snapshotOut.empty())
             snapshot::writeSnapshotFile(config_.snapshotOut, bytes);
         if (config_.snapshotSink != nullptr)
-            *config_.snapshotSink = bytes;
+            *config_.snapshotSink = std::move(bytes);
         captured = true;
     };
 

@@ -1,11 +1,14 @@
 #include "api/sweep.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <typeinfo>
@@ -106,48 +109,203 @@ runSweepJob(const SweepJob& job)
 namespace
 {
 
-void
-runOne(const SweepJob& job, SweepOutcome& out)
+constexpr std::size_t noGroup = static_cast<std::size_t>(-1);
+
+/** Jobs sharing a warm key: the first is the leader. */
+struct WarmGroup
 {
-    out = runSweepJob(job);
-}
+    std::string key;
+    std::size_t leader = 0;
+    std::vector<std::size_t> followers; ///< in input order
+
+    /**
+     * The leader's capture. Reset when the leader fails or captures
+     * nothing (its followers then run cold) and when the last follower
+     * returns.
+     */
+    std::shared_ptr<std::string> snapshot;
+
+    std::size_t pending = 0; ///< followers that have not returned
+};
+
+/**
+ * The one sweep scheduler, behind runSweep and runSweepWarm. Leaders
+ * and cold jobs start in input order; a returning leader makes its
+ * followers ready, and a free worker takes a ready follower before it
+ * starts anything new. So when a leader starts, no follower is
+ * waiting and every live snapshot has a job of its group on another
+ * worker: at most one snapshot per worker is alive at once. Outcomes
+ * land at their job's index whichever worker ran them.
+ */
+class SweepQueue
+{
+  public:
+    /**
+     * @param group_of each job's index in @p groups, or noGroup
+     * @param stats gains the follower counts, the wall split and
+     *        peakSnapshots
+     */
+    SweepQueue(const std::vector<SweepJob>& jobs,
+               std::vector<WarmGroup> groups,
+               std::vector<std::size_t> group_of, WarmSweepStats& stats)
+        : jobs_(jobs), groupOf_(std::move(group_of)),
+          groups_(std::move(groups)), out_(jobs.size()), stats_(stats)
+    {
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            if (groupOf_[i] == noGroup || isLeader(i))
+                starts_.push_back(i);
+    }
+
+    SweepQueue(const SweepQueue&) = delete;
+    SweepQueue& operator=(const SweepQueue&) = delete;
+
+    std::vector<SweepOutcome>
+    run(std::size_t workers)
+    {
+        if (jobs_.empty())
+            return {};
+        workers = std::clamp<std::size_t>(workers, 1, jobs_.size());
+        if (workers == 1) {
+            work();
+        } else {
+            std::vector<std::jthread> pool;
+            pool.reserve(workers);
+            for (std::size_t w = 0; w < workers; ++w)
+                pool.emplace_back([this] { work(); });
+        }
+        return std::move(out_);
+    }
+
+  private:
+    bool
+    isLeader(std::size_t i) const
+    {
+        return groupOf_[i] != noGroup && groups_[groupOf_[i]].leader == i;
+    }
+
+    void
+    work()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        std::size_t i = 0;
+        while (take(lock, i)) {
+            std::shared_ptr<std::string> blob =
+                groupOf_[i] == noGroup ? nullptr
+                                       : groups_[groupOf_[i]].snapshot;
+            lock.unlock();
+            SweepOutcome outcome = runJob(i, std::move(blob));
+            lock.lock();
+            finish(i, std::move(outcome));
+        }
+    }
+
+    /** Claim the next job into @p i; false when none is left. */
+    bool
+    take(std::unique_lock<std::mutex>& lock, std::size_t& i)
+    {
+        for (;;) {
+            if (!ready_.empty()) {
+                i = ready_.front();
+                ready_.pop_front();
+                return true;
+            }
+            if (nextStart_ < starts_.size()) {
+                i = starts_[nextStart_++];
+                if (isLeader(i))
+                    ++leadersRunning_;
+                return true;
+            }
+            // Only a running leader can make more work ready.
+            if (leadersRunning_ == 0)
+                return false;
+            leaderReturned_.wait(lock, [this] {
+                return !ready_.empty() || leadersRunning_ == 0;
+            });
+        }
+    }
+
+    /**
+     * Run job @p i: a leader captures into @p blob, a follower
+     * restores from it, and a job without one runs cold. The job copy
+     * and its blob reference die before this returns, so the group
+     * holds the last one.
+     */
+    SweepOutcome
+    runJob(std::size_t i, std::shared_ptr<std::string> blob) const
+    {
+        if (blob == nullptr)
+            return runSweepJob(jobs_[i]);
+        SweepJob job = jobs_[i];
+        if (isLeader(i)) {
+            job.config.snapshotAt = {snapshot::AtKind::Profile, 0};
+            job.config.snapshotSink = std::move(blob);
+            job.config.snapshotKey = groups_[groupOf_[i]].key;
+        } else {
+            job.config.restoreBlob = std::move(blob);
+        }
+        return runSweepJob(job);
+    }
+
+    void
+    finish(std::size_t i, SweepOutcome outcome)
+    {
+        out_[i] = std::move(outcome);
+        if (groupOf_[i] == noGroup)
+            return;
+        WarmGroup& group = groups_[groupOf_[i]];
+        if (group.leader == i) {
+            stats_.leaderWallSeconds += out_[i].wallSeconds;
+            if (out_[i].ok() && !group.snapshot->empty()) {
+                ++liveSnapshots_;
+                stats_.peakSnapshots =
+                    std::max(stats_.peakSnapshots, liveSnapshots_);
+            } else {
+                group.snapshot.reset();
+            }
+            ready_.insert(ready_.end(), group.followers.begin(),
+                          group.followers.end());
+            --leadersRunning_;
+            leaderReturned_.notify_all();
+            return;
+        }
+        if (group.snapshot == nullptr) {
+            ++stats_.coldFallbacks;
+            return;
+        }
+        ++stats_.followers;
+        stats_.followerWallSeconds += out_[i].wallSeconds;
+        if (--group.pending == 0) {
+            group.snapshot.reset();
+            --liveSnapshots_;
+        }
+    }
+
+    const std::vector<SweepJob>& jobs_;
+    const std::vector<std::size_t> groupOf_;
+    std::vector<std::size_t> starts_; ///< leaders and cold jobs, in order
+
+    std::mutex mu_; ///< guards what follows, bar each group's fixed key,
+                    ///< leader and followers
+    std::condition_variable leaderReturned_;
+    std::vector<WarmGroup> groups_;
+    std::vector<SweepOutcome> out_;
+    std::deque<std::size_t> ready_; ///< followers whose leader returned
+    std::size_t nextStart_ = 0;
+    std::size_t leadersRunning_ = 0;
+    std::size_t liveSnapshots_ = 0;
+    WarmSweepStats& stats_;
+};
 
 } // namespace
 
 std::vector<SweepOutcome>
 runSweep(const std::vector<SweepJob>& jobs, std::size_t workers)
 {
-    std::vector<SweepOutcome> out(jobs.size());
-    if (jobs.empty())
-        return out;
-    if (workers < 1)
-        workers = 1;
-    if (workers > jobs.size())
-        workers = jobs.size();
-
-    if (workers == 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            runOne(jobs[i], out[i]);
-        return out;
-    }
-
-    // Work stealing off a shared ticket counter: threads claim the next
-    // unclaimed job index, so long runs do not serialize behind a static
-    // partition. Outcomes land at their job's index regardless of which
-    // worker ran it.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-        for (std::size_t i = next.fetch_add(1); i < jobs.size();
-             i = next.fetch_add(1))
-            runOne(jobs[i], out[i]);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        pool.emplace_back(worker);
-    for (std::thread& t : pool)
-        t.join();
-    return out;
+    WarmSweepStats unused;
+    return SweepQueue(jobs, {},
+                      std::vector<std::size_t>(jobs.size(), noGroup),
+                      unused)
+        .run(workers);
 }
 
 namespace
@@ -257,100 +415,35 @@ std::vector<SweepOutcome>
 runSweepWarm(const std::vector<SweepJob>& jobs, std::size_t workers,
              WarmSweepStats* stats)
 {
-    std::vector<SweepOutcome> out(jobs.size());
-    if (jobs.empty())
-        return out;
-
     // Group eligible jobs by warm key, preserving input order inside
     // each group (the first member becomes the leader).
-    std::map<std::string, std::vector<std::size_t>> groups;
+    std::map<std::string, std::vector<std::size_t>> by_key;
     for (std::size_t i = 0; i < jobs.size(); ++i)
         if (warmEligible(jobs[i]))
-            groups[warmKey(jobs[i].workload, jobs[i].config)]
-                .push_back(i);
+            by_key[warmKey(jobs[i].workload, jobs[i].config)].push_back(i);
 
-    struct Fork
-    {
-        std::size_t leader = 0;
-        std::shared_ptr<std::string> blob;
-    };
-    std::vector<bool> is_follower(jobs.size(), false);
-    std::map<std::size_t, Fork> forks; ///< follower index -> its leader
-    std::vector<SweepJob> wave1;
-    std::vector<std::size_t> wave1_idx;
-
-    std::map<std::size_t, SweepJob> leader_jobs;
-    for (const auto& [key, members] : groups) {
+    std::vector<WarmGroup> groups;
+    std::vector<std::size_t> group_of(jobs.size(), noGroup);
+    for (const auto& [key, members] : by_key) {
         if (members.size() < 2)
             continue;
-        const std::size_t leader = members.front();
-        SweepJob job = jobs[leader];
-        job.config.snapshotAt = {snapshot::AtKind::Profile, 0};
-        job.config.snapshotSink = std::make_shared<std::string>();
-        job.config.snapshotKey = key;
-        for (std::size_t m = 1; m < members.size(); ++m) {
-            is_follower[members[m]] = true;
-            forks[members[m]] =
-                Fork{leader, job.config.snapshotSink};
-        }
-        leader_jobs.emplace(leader, std::move(job));
-        if (stats != nullptr) {
-            ++stats->groups;
-            ++stats->leaders;
-        }
+        for (const std::size_t m : members)
+            group_of[m] = groups.size();
+        WarmGroup& group = groups.emplace_back();
+        group.key = key;
+        group.leader = members.front();
+        group.followers.assign(members.begin() + 1, members.end());
+        group.pending = group.followers.size();
+        group.snapshot = std::make_shared<std::string>();
     }
 
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (is_follower[i])
-            continue;
-        auto it = leader_jobs.find(i);
-        wave1.push_back(it != leader_jobs.end() ? std::move(it->second)
-                                                : jobs[i]);
-        wave1_idx.push_back(i);
-    }
-
-    std::vector<SweepOutcome> wave1_out = runSweep(wave1, workers);
-    for (std::size_t w = 0; w < wave1_out.size(); ++w)
-        out[wave1_idx[w]] = std::move(wave1_out[w]);
-
-    if (forks.empty())
-        return out;
-
-    // Wave 2: followers restore their leader's snapshot; a failed or
-    // empty capture demotes them to plain cold runs.
-    std::vector<SweepJob> wave2;
-    std::vector<std::size_t> wave2_idx;
-    std::vector<bool> wave2_warm;
-    for (const auto& [idx, fork] : forks) {
-        SweepJob job = jobs[idx];
-        const bool warm =
-            out[fork.leader].ok() && !fork.blob->empty();
-        if (warm)
-            job.config.restoreBlob = fork.blob;
-        wave2.push_back(std::move(job));
-        wave2_idx.push_back(idx);
-        wave2_warm.push_back(warm);
-    }
-    std::vector<SweepOutcome> wave2_out = runSweep(wave2, workers);
-    for (std::size_t w = 0; w < wave2_out.size(); ++w)
-        out[wave2_idx[w]] = std::move(wave2_out[w]);
-
-    if (stats != nullptr) {
-        for (std::size_t w = 0; w < wave2_idx.size(); ++w) {
-            if (wave2_warm[w]) {
-                ++stats->followers;
-                stats->followerWallSeconds +=
-                    out[wave2_idx[w]].wallSeconds;
-            } else {
-                ++stats->coldFallbacks;
-            }
-        }
-        for (const auto& [leader, job] : leader_jobs) {
-            (void)job;
-            stats->leaderWallSeconds += out[leader].wallSeconds;
-        }
-    }
-    return out;
+    WarmSweepStats unused;
+    WarmSweepStats& counters = stats != nullptr ? *stats : unused;
+    counters.groups += groups.size();
+    counters.leaders += groups.size();
+    return SweepQueue(jobs, std::move(groups), std::move(group_of),
+                      counters)
+        .run(workers);
 }
 
 } // namespace gps

@@ -117,6 +117,12 @@ struct WarmSweepStats
     double leaderWallSeconds = 0.0;
     double followerWallSeconds = 0.0;
 
+    /**
+     * Most leader snapshots held for followers at once (the largest
+     * over calls); at most the worker count.
+     */
+    std::size_t peakSnapshots = 0;
+
     /** Mean leader wall over mean follower wall (0 when undefined). */
     double forkSpeedup() const;
 };
@@ -131,6 +137,11 @@ struct WarmSweepStats
  * ineligible (check/observability enabled, or already carrying
  * snapshot/restore requests) and singleton groups run cold, and a
  * failed leader demotes its followers to cold runs.
+ *
+ * Leaders and cold jobs start in input order; a returning leader's
+ * followers run before any new leader or cold job starts, and the
+ * snapshot is freed when its last follower returns, so at most one
+ * snapshot per worker is alive at once.
  * @return outcomes in input order, independent of completion order
  */
 std::vector<SweepOutcome> runSweepWarm(const std::vector<SweepJob>& jobs,

@@ -29,7 +29,6 @@ AlsWorkload::setup(WorkloadContext& ctx)
     userFactors_ = ctx.allocShared(users_ * lineBytes, "als.user", 0);
     itemFactors_ = ctx.allocShared(items_ * lineBytes, "als.item", 0);
 
-    epochTrace_.assign(numGpus_, {});
     ratings_.assign(numGpus_, 0);
     for (std::size_t g = 0; g < numGpus_; ++g) {
         const std::uint64_t ufirst = users_ * g / numGpus_;
@@ -39,26 +38,25 @@ AlsWorkload::setup(WorkloadContext& ctx)
         ratings_[g] = ctx.allocPrivate(num_ratings * 8,
                                        "als.ratings." + std::to_string(g),
                                        static_cast<GpuId>(g));
-
-        // With ~128 ratings per user, an epoch touches every item row
-        // and every owned user row many times; the LSU aggregates the
-        // per-sample atomics so each factor row produces one read and
-        // one aggregated atomic update per epoch. The per-sample random
-        // gathers enter the DRAM model through prechargedDramBytes.
-        auto& trace = epochTrace_[g];
-        trace.reserve(items_ + (uend - ufirst));
-        for (std::uint64_t i = 0; i < items_; ++i) {
-            const Addr i_row = itemFactors_ + i * lineBytes;
-            trace.push_back(MemAccess::load(i_row, lineBytes));
-            trace.push_back(MemAccess::atomic(i_row, lineBytes));
-        }
-        for (std::uint64_t u = ufirst; u < uend; ++u) {
-            const Addr u_row = userFactors_ + u * lineBytes;
-            trace.push_back(MemAccess::load(u_row, lineBytes));
-            trace.push_back(MemAccess::atomic(u_row, lineBytes));
-        }
     }
 }
+
+namespace
+{
+
+/** Load then atomic update of each of @p rows lines from @p base. */
+Group
+readUpdateRows(Addr base, std::uint64_t rows)
+{
+    return Group{{
+        Burst{base, rows, lineBytes, AccessType::Load, lineBytes,
+              Scope::Weak},
+        Burst{base, rows, lineBytes, AccessType::Atomic, lineBytes,
+              Scope::Weak},
+    }};
+}
+
+} // namespace
 
 std::vector<Phase>
 AlsWorkload::iteration(std::size_t iter, WorkloadContext& ctx)
@@ -74,12 +72,22 @@ AlsWorkload::iteration(std::size_t iter, WorkloadContext& ctx)
         const std::uint64_t num_ratings =
             (uend - ufirst) * ratingsPerUser_;
 
+        // With ~128 ratings per user, an epoch touches every item row
+        // and every owned user row many times; the LSU aggregates the
+        // per-sample atomics so each factor row produces one read and
+        // one aggregated atomic update per epoch. The per-sample random
+        // gathers enter the DRAM model through prechargedDramBytes.
+        std::vector<Group> groups;
+        groups.push_back(readUpdateRows(itemFactors_, items_));
+        groups.push_back(readUpdateRows(lineAddr(userFactors_, ufirst),
+                                        uend - ufirst));
+
         KernelLaunch kernel;
         kernel.gpu = gpu;
         kernel.name = "als.sgd";
         kernel.computeInstrs = num_ratings * instrsPerRating;
         kernel.prechargedDramBytes = num_ratings * dramBytesPerRating;
-        kernel.stream = std::make_unique<ReplayStream>(&epochTrace_[g]);
+        kernel.stream = makeGroupStream(std::move(groups));
         epoch.kernels.push_back(std::move(kernel));
 
         // Memcpy port: the partitioned-ALS variant broadcasts its own

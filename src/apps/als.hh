@@ -41,9 +41,6 @@ class AlsWorkload : public Workload
     Addr itemFactors_ = 0;  ///< shared, one 128 B line per item
     std::vector<Addr> ratings_; ///< private rating slice per GPU
     std::size_t numGpus_ = 0;
-
-    /** Per-GPU SGD epoch trace (loads + atomics), prebuilt at setup. */
-    std::vector<std::vector<MemAccess>> epochTrace_;
 };
 
 } // namespace gps::apps

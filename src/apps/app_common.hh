@@ -138,32 +138,41 @@ class GroupStream : public AccessStream
         std::size_t n = 0;
         while (n < max && groupIdx_ < groups_.size()) {
             const Group& group = groups_[groupIdx_];
-            if (group.bursts.size() != 1) {
-                // Interleaved bursts keep the per-access path (the
-                // round-robin cursor is the semantics).
+            const std::size_t nb = group.bursts.size();
+            // At a round boundary with r accesses left in every burst,
+            // the next r rounds take one access from each burst in
+            // order; anything else (a partial round, a burst running
+            // dry before the others) keeps the per-access path.
+            std::uint64_t rounds =
+                cursor_ == 0 && nb > 0 ? (max - n) / nb : 0;
+            for (std::size_t b = 0; b < nb && rounds > 0; ++b)
+                rounds =
+                    std::min(rounds, group.bursts[b].count - pos_[b]);
+            if (rounds == 0) {
                 if (!next(out[n]))
                     break;
                 ++n;
                 continue;
             }
-            // Single-burst group: emit the strided run directly.
-            const Burst& burst = group.bursts[0];
-            const std::uint64_t left = burst.count - pos_[0];
-            const std::size_t chunk = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, max - n));
-            for (std::size_t i = 0; i < chunk; ++i) {
-                MemAccess& acc = out[n + i];
-                acc.vaddr = static_cast<Addr>(
+            bool drained = true;
+            for (std::size_t b = 0; b < nb; ++b) {
+                const Burst& burst = group.bursts[b];
+                std::int64_t vaddr =
                     static_cast<std::int64_t>(burst.base) +
-                    static_cast<std::int64_t>(pos_[0] + i) *
-                        burst.strideBytes);
-                acc.size = burst.size;
-                acc.type = burst.type;
-                acc.scope = burst.scope;
+                    static_cast<std::int64_t>(pos_[b]) * burst.strideBytes;
+                for (std::uint64_t r = 0; r < rounds; ++r) {
+                    MemAccess& acc = out[n + r * nb + b];
+                    acc.vaddr = static_cast<Addr>(vaddr);
+                    acc.size = burst.size;
+                    acc.type = burst.type;
+                    acc.scope = burst.scope;
+                    vaddr += burst.strideBytes;
+                }
+                pos_[b] += rounds;
+                drained = drained && pos_[b] == burst.count;
             }
-            pos_[0] += chunk;
-            n += chunk;
-            if (pos_[0] == burst.count) {
+            n += static_cast<std::size_t>(rounds) * nb;
+            if (drained) {
                 ++groupIdx_;
                 enterGroup();
             }

@@ -604,6 +604,91 @@ TEST(WarmSweep, WarmOutcomesAreByteIdenticalToCold)
     EXPECT_GT(stats.followerWallSeconds, 0.0);
 }
 
+TEST(WarmSweep, QueueHoldsAtMostOneSnapshotPerWorker)
+{
+    // Five warm groups of two to four members, interleaved with cold
+    // singletons; members differ only in post-profile knobs.
+    struct Member
+    {
+        const char* app;
+        ParadigmKind paradigm;
+        std::size_t gpus;
+        std::size_t steady;
+    };
+    using P = ParadigmKind;
+    const Member grid[] = {
+        {"Jacobi", P::Gps, 2, 1},    {"Jacobi", P::Um, 2, 1},
+        {"Nbody", P::Gps, 2, 1},     {"Jacobi", P::Memcpy, 2, 1},
+        {"Jacobi", P::Gps, 2, 2},    {"Nbody", P::Memcpy, 2, 1},
+        {"ALS", P::Gps, 2, 1},       {"Nbody", P::Gps, 2, 2},
+        {"Jacobi", P::Gps, 4, 1},    {"Jacobi", P::Memcpy, 2, 2},
+        {"ALS", P::Um, 2, 1},        {"ALS", P::Gps, 2, 3},
+        {"Jacobi", P::Gps, 4, 3},    {"Nbody", P::Gps, 2, 3},
+        {"Jacobi", P::Memcpy, 2, 3}, {"Jacobi", P::Gps, 4, 2},
+        {"Jacobi", P::Memcpy, 2, 4},
+    };
+    std::vector<SweepJob> jobs;
+    for (const Member& m : grid) {
+        RunConfig config = smokeConfig(m.paradigm, m.gpus);
+        config.steadyIterations = m.steady;
+        jobs.push_back({m.app, config, std::to_string(jobs.size())});
+    }
+
+    const std::vector<SweepOutcome> cold = runSweep(jobs, 2);
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+        WarmSweepStats stats;
+        const std::vector<SweepOutcome> warm =
+            runSweepWarm(jobs, workers, &stats);
+        ASSERT_EQ(warm.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            ASSERT_TRUE(cold[i].ok()) << i;
+            ASSERT_TRUE(warm[i].ok()) << workers << " workers, job " << i;
+            EXPECT_EQ(warm[i].label, jobs[i].label);
+            EXPECT_EQ(resultToJson(cold[i].result, true),
+                      resultToJson(warm[i].result, true))
+                << workers << " workers, job " << i;
+        }
+        EXPECT_EQ(stats.groups, 5u);
+        EXPECT_EQ(stats.leaders, 5u);
+        EXPECT_EQ(stats.followers, 9u);
+        EXPECT_EQ(stats.coldFallbacks, 0u);
+        EXPECT_GE(stats.peakSnapshots, 1u);
+        EXPECT_LE(stats.peakSnapshots, workers);
+        if (workers == 1) {
+            EXPECT_EQ(stats.peakSnapshots, 1u);
+        }
+    }
+}
+
+TEST(WarmSweep, CancelledLeaderFailsAloneAndFollowersRunCold)
+{
+    std::vector<SweepJob> jobs;
+    for (const std::size_t steady : {1u, 2u, 3u}) {
+        RunConfig config = smokeConfig(ParadigmKind::Gps, 2);
+        config.steadyIterations = steady;
+        jobs.push_back({"Jacobi", config, "steady"});
+    }
+    const std::vector<SweepOutcome> cold = runSweep(jobs, 1);
+    jobs[0].config.cancel = std::make_shared<CancelToken>();
+    jobs[0].config.cancel->cancel();
+
+    WarmSweepStats stats;
+    const std::vector<SweepOutcome> out = runSweepWarm(jobs, 2, &stats);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_FALSE(out[0].ok());
+    EXPECT_EQ(out[0].errorType, "Cancelled");
+    for (std::size_t i = 1; i < 3; ++i) {
+        ASSERT_TRUE(out[i].ok()) << out[i].errorText();
+        EXPECT_EQ(resultToJson(cold[i].result, true),
+                  resultToJson(out[i].result, true))
+            << i;
+    }
+    EXPECT_EQ(stats.groups, 1u);
+    EXPECT_EQ(stats.followers, 0u);
+    EXPECT_EQ(stats.coldFallbacks, 2u);
+    EXPECT_EQ(stats.peakSnapshots, 0u);
+}
+
 TEST(WarmSweep, SingletonGroupsRunCold)
 {
     std::vector<SweepJob> jobs;

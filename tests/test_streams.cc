@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "apps/app_common.hh"
+#include "common/rng.hh"
 #include "trace/kernel_trace.hh"
 
 namespace gps
@@ -217,7 +218,8 @@ mixedGroups()
     // Single-burst group (batched fast path), odd count.
     groups.push_back(Group{{Burst{0, 13, 128, AccessType::Load, 128,
                                   Scope::Weak}}});
-    // Interleaved group (per-access path), uneven bursts.
+    // Interleaved group, uneven bursts: whole rounds, then the longer
+    // burst alone.
     groups.push_back(Group{{
         Burst{10000, 5, 128, AccessType::Load, 128, Scope::Weak},
         Burst{20000, 9, 128, AccessType::Store, 32, Scope::Weak},
@@ -235,6 +237,38 @@ TEST(GroupStream, BatchedPullMatchesPerAccessPull)
         apps::GroupStream batched(mixedGroups());
         expectSameAccesses(drainBatched(batched, chunk),
                            drain(per_access));
+    }
+}
+
+TEST(GroupStream, BatchedPullMatchesPerAccessPullOnRandomGroups)
+{
+    // Groups of 1-5 interleaved bursts with unequal (sometimes zero)
+    // counts and negative strides, pulled in batches of 1-300: whole
+    // rounds, partial rounds, bursts running dry mid-batch.
+    Rng rng(26);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<apps::Group> groups(1 + rng.below(4));
+        for (apps::Group& group : groups) {
+            const std::size_t bursts = 1 + rng.below(5);
+            for (std::size_t b = 0; b < bursts; ++b) {
+                const std::int64_t stride =
+                    (rng.chance(0.3) ? -1 : 1) *
+                    static_cast<std::int64_t>(32 << rng.below(3));
+                group.bursts.push_back(apps::Burst{
+                    1000000 + rng.below(1000) * 128, rng.below(120),
+                    stride,
+                    rng.chance(0.5) ? AccessType::Load : AccessType::Store,
+                    static_cast<std::uint32_t>(4 << rng.below(6)),
+                    rng.chance(0.2) ? Scope::Sys : Scope::Weak});
+            }
+        }
+        const std::size_t chunk = 1 + rng.below(300);
+        apps::GroupStream per_access(groups);
+        apps::GroupStream batched(groups);
+        expectSameAccesses(drainBatched(batched, chunk),
+                           drain(per_access));
+        if (HasFatalFailure())
+            FAIL() << "trial " << trial << ", batch " << chunk;
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "api/system.hh"
@@ -171,6 +172,65 @@ TEST_P(WorkloadFixture, UmHintsApplyWithoutError)
 INSTANTIATE_TEST_SUITE_P(AllApps, WorkloadFixture,
                          ::testing::ValuesIn(workloadNames()),
                          [](const auto& info) { return info.param; });
+
+TEST(AlsWorkload, EpochStreamIsTheRowTrace)
+{
+    // Each GPU loads then atomically updates every item row, then each
+    // of its own user rows, one row at a time.
+    const std::uint64_t rows = 2048; // max(2048, 24576 x testScale)
+    for (const std::size_t gpus : {1u, 3u, 4u, 32u, 256u}) {
+        SystemConfig config;
+        config.numGpus = gpus;
+        MultiGpuSystem system(config);
+        std::unique_ptr<Paradigm> paradigm =
+            makeParadigm(ParadigmKind::Memcpy, system);
+        WorkloadContext ctx(system, *paradigm);
+        std::unique_ptr<Workload> als = makeWorkload("ALS");
+        als->setScale(testScale);
+        als->setup(ctx);
+        Addr users = 0, items = 0;
+        for (const auto& [base, region] : system.addressSpace().regions()) {
+            if (region.label == "als.user")
+                users = base;
+            else if (region.label == "als.item")
+                items = base;
+        }
+
+        std::vector<Phase> phases = als->iteration(0, ctx);
+        ASSERT_EQ(phases.size(), 1u);
+        ASSERT_EQ(phases[0].kernels.size(), gpus);
+        for (std::size_t g = 0; g < gpus; ++g) {
+            std::vector<MemAccess> trace;
+            for (std::uint64_t i = 0; i < rows; ++i) {
+                trace.push_back(MemAccess::load(items + i * 128, 128));
+                trace.push_back(MemAccess::atomic(items + i * 128, 128));
+            }
+            for (std::uint64_t u = rows * g / gpus;
+                 u < rows * (g + 1) / gpus; ++u) {
+                trace.push_back(MemAccess::load(users + u * 128, 128));
+                trace.push_back(MemAccess::atomic(users + u * 128, 128));
+            }
+
+            KernelLaunch& kernel = phases[0].kernels[g];
+            ASSERT_EQ(kernel.gpu, g);
+            // Pulled in the replay loop's default chunk.
+            std::vector<MemAccess> got(trace.size() + 128);
+            std::size_t n = 0;
+            for (std::size_t pulled = 1; pulled > 0; n += pulled)
+                pulled = kernel.stream->nextBatch(
+                    got.data() + n, std::min<std::size_t>(
+                                        128, got.size() - n));
+            ASSERT_EQ(n, trace.size()) << gpus << " GPUs, gpu " << g;
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(got[i].vaddr, trace[i].vaddr)
+                    << gpus << " GPUs, gpu " << g << ", access " << i;
+                ASSERT_EQ(got[i].size, trace[i].size);
+                ASSERT_EQ(got[i].type, trace[i].type);
+                ASSERT_EQ(got[i].scope, trace[i].scope);
+            }
+        }
+    }
+}
 
 TEST(WorkloadRegistry, ListsTheTable2Suite)
 {
