@@ -47,7 +47,7 @@ Runner::run(Workload& workload)
          config_.snapshotSink != nullptr);
     std::optional<snapshot::Snapshot> snap;
     if (config_.restoreBlob != nullptr)
-        snap = snapshot::decodeSnapshot(*config_.restoreBlob);
+        snap = snapshot::decodeSnapshot(config_.restoreBlob);
     else if (!config_.restoreFrom.empty())
         snap = snapshot::readSnapshotFile(config_.restoreFrom);
     if ((capturing || snap.has_value()) && config_.check.enabled)

@@ -1,6 +1,8 @@
 #include "cache/cache_model.hh"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "common/logging.hh"
 #include "obs/metric_registry.hh"
@@ -30,12 +32,12 @@ CacheModel::CacheModel(std::string name, std::uint64_t capacity_bytes,
     : SimObject(std::move(name)), capacityBytes_(capacity_bytes),
       lineBytes_(line_bytes), ways_(ways),
       sets_(setCount(capacity_bytes, line_bytes, ways)),
-      lineDiv_(line_bytes), setDiv_(sets_), lines_(sets_),
-      resident_(regionSlots, 0)
+      lineDiv_(line_bytes), setDiv_(sets_), lines_(sets_)
 {
     gps_assert(capacity_bytes % (static_cast<std::uint64_t>(line_bytes) *
                                  ways) == 0,
                "cache capacity not divisible by line*ways");
+    countResident();
 }
 
 CacheResult
@@ -63,7 +65,7 @@ CacheModel::fill(std::uint64_t line, std::uint64_t tag,
         // Every stored way is valid, so the first invalid way is the
         // first unstored one, which no set has filled yet.
         way = stride_;
-        growStride();
+        growStride(std::min(2 * stride_, ways_));
         victim = &lines_[set_index * stride_ + way];
     }
 
@@ -83,14 +85,33 @@ CacheModel::fill(std::uint64_t line, std::uint64_t tag,
 }
 
 void
-CacheModel::growStride()
+CacheModel::growStride(std::uint32_t stride)
 {
-    const std::uint32_t stride = std::min(2 * stride_, ways_);
     std::vector<Line> lines(sets_ * stride);
     for (std::size_t s = 0; s < sets_; ++s)
         std::copy_n(&lines_[s * stride_], stride_, &lines[s * stride]);
     lines_ = std::move(lines);
     stride_ = stride;
+    countResident();
+}
+
+void
+CacheModel::countResident()
+{
+    // regionSlots at full width; below it, scaled by stride over the
+    // associativity rounded up to a power of two (stride is one too).
+    const std::size_t slots =
+        stride_ == ways_
+            ? regionSlots
+            : std::max<std::size_t>(
+                  1, regionSlots / (std::bit_ceil(ways_) / stride_));
+    resident_ = std::vector<std::uint32_t>(slots, 0);
+    for (std::size_t s = 0; s < sets_; ++s) {
+        const Line* set = &lines_[s * stride_];
+        for (std::uint32_t w = 0; w < stride_; ++w)
+            if (set[w].valid())
+                ++residentIn(regionOf(set[w].tag * sets_ + s));
+    }
 }
 
 bool
@@ -135,6 +156,7 @@ CacheModel::invalidatePage(Addr page_base, std::uint64_t page_bytes)
                     }
                     set[w].meta &= ~validBit;
                     --resident;
+                    break; // the set holds the tag at most once
                 }
             }
         }
@@ -190,7 +212,6 @@ CacheModel::restoreState(snapshot::Deserializer& in)
             "snapshot cache geometry differs from the configured cache");
     lines_.assign(sets_, Line{});
     stride_ = 1;
-    std::fill(resident_.begin(), resident_.end(), 0);
     for (std::size_t s = 0; s < sets_; ++s) {
         for (std::uint32_t w = 0; w < ways_; ++w) {
             const std::uint64_t tag = in.u64();
@@ -202,16 +223,20 @@ CacheModel::restoreState(snapshot::Deserializer& in)
                     "snapshot cache line LRU stamp out of range");
             if (tag == 0 && !valid && !dirty && last_use == 0)
                 continue; // never filled, as every unstored way reads
-            while (w >= stride_)
-                growStride();
-            Line& l = lines_[s * stride_ + w];
-            l.tag = tag;
-            l.meta = (last_use << stampShift) | (dirty ? dirtyBit : 0) |
-                     (valid ? validBit : 0);
-            if (valid)
-                ++residentIn(regionOf(tag * sets_ + s));
+            if (w >= stride_)
+                growStride(std::min(std::bit_ceil(w + 1), ways_));
+            Line* set = &lines_[s * stride_];
+            for (std::uint32_t v = 0; valid && v < w; ++v)
+                if (set[v].valid() && set[v].tag == tag)
+                    throw snapshot::SnapshotError(
+                        "corrupt snapshot: cache set " + std::to_string(s) +
+                        " holds one tag in two valid lines");
+            set[w].tag = tag;
+            set[w].meta = (last_use << stampShift) |
+                          (dirty ? dirtyBit : 0) | (valid ? validBit : 0);
         }
     }
+    countResident();
     useClock_ = in.u64();
     if (useClock_ > maxUseClock)
         throw snapshot::SnapshotError(

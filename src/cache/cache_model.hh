@@ -10,6 +10,8 @@
  * count of resident lines per 64 KB address region so page invalidation
  * skips regions it holds nothing of: at 128-256 GPUs almost every
  * barrier-time invalidation lands on a GPU that never cached the page.
+ * A miss fills only a line the set does not hold, so a valid tag
+ * appears at most once per set.
  *
  * Ways are stored only as far as some set has filled them. A fill takes
  * the first invalid way in index order, so a set fills way w only once
@@ -17,8 +19,9 @@
  * a never-filled line. The lines sit set-major at a per-cache stride
  * that starts at one way and doubles (capped at the associativity) the
  * first time a fill finds every stored way of its set valid; 128-256
- * GPU runs fill a fraction of each GPU's 16 ways. Tag and set come from
- * exact multiply-shift dividers (the Table 1 L2 has 3,072 sets).
+ * GPU runs fill a fraction of each GPU's 16 ways. The region-count
+ * table grows with the stride (see residentSlots). Tag and set come
+ * from exact multiply-shift dividers (the Table 1 L2 has 3,072 sets).
  */
 
 #ifndef GPS_CACHE_CACHE_MODEL_HH
@@ -108,10 +111,18 @@ class CacheModel : public SimObject
     /** Resident lines are counted per 64 KB address region... */
     static constexpr unsigned regionShift = 16;
 
-    /** ...in a fixed table (64 KB) indexed by region modulo its size.
-     *  Aliasing regions share a slot, so a zero slot still proves every
-     *  one of them empty. */
+    /** ...in a table indexed by region modulo its size, which is at most
+     *  this many slots (64 KB). Aliasing regions share a slot, so a zero
+     *  slot still proves every one of them empty. */
     static constexpr std::size_t regionSlots = 16384;
+
+    /**
+     * Slots in the region-count table: regionSlots scaled by
+     * storedWays() over the associativity (rounded up to a power of
+     * two), so the table grows with the lines stored. The Table 1 L2
+     * goes from 1,024 slots at one way to 16,384 at all 16.
+     */
+    std::size_t residentSlots() const { return resident_.size(); }
 
     /**
      * Count held by the slot of the region containing @p addr's line:
@@ -120,7 +131,7 @@ class CacheModel : public SimObject
     std::uint32_t
     residentInSlotOf(Addr addr) const
     {
-        return resident_[regionOf(lineNum(addr)) & (regionSlots - 1)];
+        return resident_[regionOf(lineNum(addr)) & (resident_.size() - 1)];
     }
 
     /** Largest LRU stamp (and LRU clock) a packed line can hold: the
@@ -135,10 +146,11 @@ class CacheModel : public SimObject
     void saveState(snapshot::Serializer& out) const;
 
     /**
-     * Counterpart of saveState; geometry must match this instance and
-     * every LRU stamp must fit the packed line. Rebuilds the
-     * resident-line counts, and stores ways up to the highest one
-     * holding any non-zero field (the stride a live fill would grow).
+     * Counterpart of saveState; geometry must match this instance, every
+     * LRU stamp must fit the packed line, and no set may hold a valid
+     * tag twice. Rebuilds the resident-line counts, and stores ways up
+     * to the highest one holding any non-zero field (the stride a live
+     * fill would grow).
      */
     void restoreState(snapshot::Deserializer& in);
 
@@ -182,8 +194,12 @@ class CacheModel : public SimObject
     CacheResult fill(std::uint64_t line, std::uint64_t tag,
                      std::size_t set_index, std::uint64_t dirty);
 
-    /** Double the stored ways (capped at ways_), re-laying out sets. */
-    void growStride();
+    /** Store @p stride ways per set, re-laying out the sets and
+     *  recounting the resident lines into a table sized for it. */
+    void growStride(std::uint32_t stride);
+
+    /** Rebuild the region-count table from the stored lines. */
+    void countResident();
 
     /** Region of the line's first byte. */
     std::uint64_t
@@ -196,7 +212,7 @@ class CacheModel : public SimObject
     std::uint32_t&
     residentIn(std::uint64_t region)
     {
-        return resident_[region & (regionSlots - 1)];
+        return resident_[region & (resident_.size() - 1)];
     }
 
     std::uint64_t capacityBytes_;
@@ -211,7 +227,8 @@ class CacheModel : public SimObject
     std::uint32_t stride_ = 1;
     std::uint64_t useClock_ = 0;
 
-    /** Valid lines per region slot; exact at every public call. */
+    /** Valid lines per region slot (residentSlots() of them); exact at
+     *  every public call. */
     std::vector<std::uint32_t> resident_;
 
     std::uint64_t hits_ = 0;

@@ -11,7 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace gps
 {
@@ -23,9 +23,9 @@ namespace gps
 std::uint32_t crc32Update(std::uint32_t crc, const void* data,
                           std::size_t len);
 
-/** One-shot CRC32 of a string's bytes. */
+/** One-shot CRC32 of a byte string. */
 inline std::uint32_t
-crc32Of(const std::string& bytes)
+crc32Of(std::string_view bytes)
 {
     return crc32Update(0, bytes.data(), bytes.size());
 }

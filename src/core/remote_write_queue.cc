@@ -1,6 +1,7 @@
 #include "core/remote_write_queue.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "obs/causal/causal.hh"
@@ -11,16 +12,26 @@
 namespace gps
 {
 
+namespace
+{
+
+/** Ring slots of a fresh queue; the ring doubles from here on demand. */
+constexpr std::size_t minRingSlots = 8;
+
+} // namespace
+
 RemoteWriteQueue::RemoteWriteQueue(std::string name,
                                    const GpsConfig& config,
                                    std::uint32_t line_bytes,
                                    PageGeometry geometry,
                                    const RunSinks& sinks, int track)
     : SimObject(std::move(name)), config_(&config),
-      lineBytes_(line_bytes), geometry_(geometry), sinks_(sinks),
-      track_(track)
+      lineBytes_(line_bytes),
+      lineShift_(static_cast<unsigned>(std::countr_zero(line_bytes))),
+      geometry_(geometry), sinks_(sinks), track_(track)
 {
     gps_assert(config.wqEntries > 0, "zero-entry remote write queue");
+    resize(minRingSlots);
 }
 
 bool
@@ -33,9 +44,9 @@ RemoteWriteQueue::insert(Addr addr, std::uint32_t size,
     const std::uint32_t weight =
         config_->virtuallyAddressedWq ? 1 : std::max(copies, 1u);
 
-    auto hit = index_.find(line);
-    if (hit != index_.end()) {
-        WqEntry& entry = *hit->second;
+    const std::size_t at = find(line);
+    if (index_[at] != noSlot) {
+        WqEntry& entry = ring_[index_[at]];
         entry.bytesWritten =
             std::min<std::uint32_t>(lineBytes_, entry.bytesWritten + size);
         ++entry.mergedStores;
@@ -61,8 +72,7 @@ RemoteWriteQueue::insert(Addr addr, std::uint32_t size,
     entry.weight = weight;
 
     entry.seq = inserts_;
-    fifo_.push_back(entry);
-    index_.emplace(line, std::prev(fifo_.end()));
+    pushBack(entry, at);
     occupancy_ += entry.weight;
     ++inserts_;
     if (sinks_.profile != nullptr)
@@ -86,7 +96,7 @@ RemoteWriteQueue::drainToWatermark()
         watermark = std::min(
             watermark,
             config_->wqEntries / config_->saturatedWatermarkDivisor);
-    while (occupancy_ > watermark && fifo_.size() > 1) {
+    while (occupancy_ > watermark && count_ > 1) {
         ++watermarkDrains_;
         if (saturated_) {
             ++stallDrains_;
@@ -101,7 +111,7 @@ bool
 RemoteWriteQueue::contains(Addr addr) const
 {
     const Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
-    return index_.find(line) != index_.end();
+    return index_[find(line)] != noSlot;
 }
 
 void
@@ -119,7 +129,7 @@ void
 RemoteWriteQueue::drainAll()
 {
     const std::uint64_t before = drains_;
-    while (!fifo_.empty())
+    while (count_ > 0)
         drainOne();
     if (sinks_.recorder != nullptr && drains_ > before)
         sinks_.recorder->instantNow(
@@ -130,35 +140,123 @@ RemoteWriteQueue::drainAll()
 void
 RemoteWriteQueue::drainPage(PageNum vpn)
 {
-    for (auto it = fifo_.begin(); it != fifo_.end();) {
-        if (it->vpn == vpn) {
-            auto victim = it++;
-            drainEntry(victim);
-        } else {
-            ++it;
+    // Drain the page's entries front to back, sliding each survivor
+    // down over the gaps so the ring stays in insertion order.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count_; ++i) {
+        const std::size_t slot = slotAt(i);
+        if (ring_[slot].vpn != vpn) {
+            if (kept != i) {
+                const std::size_t to = slotAt(kept);
+                index_[find(ring_[slot].line)] = to;
+                ring_[to] = ring_[slot];
+            }
+            ++kept;
+            continue;
         }
+        const WqEntry entry = ring_[slot];
+        unindex(find(entry.line));
+        drainEntry(entry);
     }
+    count_ = kept;
 }
 
 void
 RemoteWriteQueue::drainOne()
 {
-    gps_assert(!fifo_.empty(), "drain of empty write queue");
-    drainEntry(fifo_.begin());
+    gps_assert(count_ > 0, "drain of empty write queue");
+    const WqEntry entry = ring_[head_];
+    unindex(find(entry.line));
+    head_ = slotAt(1);
+    --count_;
+    drainEntry(entry);
 }
 
 void
-RemoteWriteQueue::drainEntry(std::list<WqEntry>::iterator it)
+RemoteWriteQueue::drainEntry(const WqEntry& entry)
 {
-    const WqEntry entry = *it;
-    index_.erase(entry.line);
     occupancy_ -= entry.weight;
-    fifo_.erase(it);
     ++drains_;
     if (sinks_.profile != nullptr)
         sinks_.profile->noteRwqDrainResidency(inserts_ - entry.seq);
     if (drain_)
         drain_(entry);
+}
+
+void
+RemoteWriteQueue::pushBack(const WqEntry& entry, std::size_t at)
+{
+    if (count_ == ring_.size()) {
+        resize(2 * ring_.size());
+        at = find(entry.line);
+    }
+    const std::size_t slot = slotAt(count_);
+    ring_[slot] = entry;
+    index_[at] = slot;
+    ++count_;
+}
+
+void
+RemoteWriteQueue::unindex(std::size_t hole)
+{
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = (hole + 1) & mask; index_[i] != noSlot;
+         i = (i + 1) & mask) {
+        // The entry at i may move back into the hole unless its probe
+        // starts after the hole, in (hole, i].
+        const std::size_t home = homeOf(ring_[index_[i]].line);
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+            index_[hole] = index_[i];
+            hole = i;
+        }
+    }
+    index_[hole] = noSlot;
+}
+
+void
+RemoteWriteQueue::resize(std::size_t slots)
+{
+    std::vector<WqEntry> ring(slots);
+    for (std::size_t i = 0; i < count_; ++i)
+        ring[i] = ring_[slotAt(i)];
+    ring_ = std::move(ring);
+    head_ = 0;
+    index_.assign(2 * slots, noSlot);
+    indexShift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
+    for (std::size_t i = 0; i < count_; ++i)
+        index_[find(ring_[i].line)] = i;
+}
+
+void
+RemoteWriteQueue::restoreState(snapshot::Deserializer& in)
+{
+    in.section("rwq");
+    count_ = 0;
+    resize(minRingSlots);
+    const std::uint64_t n = in.count(1ULL << 24);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        WqEntry e;
+        e.line = in.u64();
+        e.vpn = in.u64();
+        e.bytesWritten = in.u32();
+        e.mergedStores = in.u32();
+        e.weight = in.u32();
+        e.seq = in.u64();
+        const std::size_t at = find(e.line);
+        if (index_[at] != noSlot)
+            throw snapshot::SnapshotError(
+                "corrupt snapshot: write-queue line buffered twice");
+        pushBack(e, at);
+    }
+    occupancy_ = in.u32();
+    inserts_ = in.u64();
+    coalesced_ = in.u64();
+    drains_ = in.u64();
+    atomicBypass_ = in.u64();
+    watermarkDrains_ = in.u64();
+    forwardHits_ = in.u64();
+    stallDrains_ = in.u64();
+    saturated_ = in.b();
 }
 
 double

@@ -5,15 +5,22 @@
  * Weak stores to the same block coalesce; at the high watermark the least
  * recently *added* entry drains to the GPS address translation unit; the
  * queue drains fully at synchronization points (grid end, sys fences).
+ *
+ * Entries sit in a power-of-two ring in insertion order, grown on demand
+ * (the configured capacity may be up to 2^32-1 entries, so nothing is
+ * preallocated to it). A line index with open addressing and linear
+ * probing maps each buffered line to its ring slot, at most half full;
+ * a removal closes its probe chain by backward shift. No store or drain
+ * allocates once the ring has grown to the queue's working size.
  */
 
 #ifndef GPS_CORE_REMOTE_WRITE_QUEUE_HH
 #define GPS_CORE_REMOTE_WRITE_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "core/gps_config.hh"
@@ -74,6 +81,7 @@ class RemoteWriteQueue : public SimObject
                      std::uint32_t line_bytes, PageGeometry geometry,
                      const RunSinks& sinks = noSinks, int track = 0);
 
+    /** Install the drain sink; it must not call back into the queue. */
     void setDrainCallback(DrainFn fn) { drain_ = std::move(fn); }
 
     /**
@@ -123,14 +131,13 @@ class RemoteWriteQueue : public SimObject
     std::uint64_t forwardHits() const { return forwardHits_; }
 
     /** Entries currently resident (inserts == drains + resident). */
-    std::uint64_t residentEntries() const { return fifo_.size(); }
+    std::uint64_t residentEntries() const { return count_; }
 
     /** Σ entry.weight over resident entries — must equal occupancy(). */
     std::uint64_t weightSum() const
     {
         std::uint64_t sum = 0;
-        for (const WqEntry& entry : fifo_)
-            sum += entry.weight;
+        forEachEntry([&sum](const WqEntry& entry) { sum += entry.weight; });
         return sum;
     }
 
@@ -138,8 +145,8 @@ class RemoteWriteQueue : public SimObject
     template <typename Fn>
     void forEachEntry(Fn&& fn) const
     {
-        for (const WqEntry& entry : fifo_)
-            fn(entry);
+        for (std::size_t i = 0; i < count_; ++i)
+            fn(ring_[slotAt(i)]);
     }
 
     /**
@@ -156,21 +163,21 @@ class RemoteWriteQueue : public SimObject
 
     /**
      * Serialize resident entries in FIFO order plus all counters; the
-     * line index is rebuilt from the FIFO at restore.
+     * ring and line index are rebuilt from the FIFO at restore.
      */
     void
     saveState(snapshot::Serializer& out) const
     {
         out.section("rwq");
-        out.u64(fifo_.size());
-        for (const WqEntry& e : fifo_) {
+        out.u64(count_);
+        forEachEntry([&out](const WqEntry& e) {
             out.u64(e.line);
             out.u64(e.vpn);
             out.u32(e.bytesWritten);
             out.u32(e.mergedStores);
             out.u32(e.weight);
             out.u64(e.seq);
-        }
+        });
         out.u32(occupancy_);
         out.u64(inserts_);
         out.u64(coalesced_);
@@ -182,49 +189,75 @@ class RemoteWriteQueue : public SimObject
         out.b(saturated_);
     }
 
-    /** Counterpart of saveState. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("rwq");
-        fifo_.clear();
-        index_.clear();
-        const std::uint64_t n = in.count(1ULL << 24);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            WqEntry e;
-            e.line = in.u64();
-            e.vpn = in.u64();
-            e.bytesWritten = in.u32();
-            e.mergedStores = in.u32();
-            e.weight = in.u32();
-            e.seq = in.u64();
-            fifo_.push_back(e);
-            index_[e.line] = std::prev(fifo_.end());
-        }
-        occupancy_ = in.u32();
-        inserts_ = in.u64();
-        coalesced_ = in.u64();
-        drains_ = in.u64();
-        atomicBypass_ = in.u64();
-        watermarkDrains_ = in.u64();
-        forwardHits_ = in.u64();
-        stallDrains_ = in.u64();
-        saturated_ = in.b();
-    }
+    /**
+     * Counterpart of saveState.
+     * @throws snapshot::SnapshotError when a line is buffered twice
+     */
+    void restoreState(snapshot::Deserializer& in);
 
   private:
+    /** Ring slot of a line-index entry; noSlot marks a free index entry.
+     *  64-bit because a 2^32-1-entry queue can fill a 2^32-slot ring. */
+    using RingSlot = std::uint64_t;
+    static constexpr RingSlot noSlot = ~RingSlot(0);
+
+    /** Ring slot of the @p i-th resident entry (0 = least recently added). */
+    std::size_t
+    slotAt(std::size_t i) const
+    {
+        return (head_ + i) & (ring_.size() - 1);
+    }
+
+    /** Index entry where the probe for @p line starts. */
+    std::size_t
+    homeOf(Addr line) const
+    {
+        return static_cast<std::size_t>(
+            ((line >> lineShift_) * 0x9E3779B97F4A7C15ULL) >> indexShift_);
+    }
+
+    /** Index entry holding @p line, else the free entry ending its probe. */
+    std::size_t
+    find(Addr line) const
+    {
+        const std::size_t mask = index_.size() - 1;
+        for (std::size_t i = homeOf(line);; i = (i + 1) & mask) {
+            const RingSlot slot = index_[i];
+            if (slot == noSlot || ring_[slot].line == line)
+                return i;
+        }
+    }
+
+    /** Free index entry @p hole, shifting later entries of its probe
+     *  chain back so every lookup still reaches them. */
+    void unindex(std::size_t hole);
+
+    /** Re-lay the ring out at @p slots slots (head at slot 0) and
+     *  rebuild the index at twice that. */
+    void resize(std::size_t slots);
+
+    /** Append @p entry at the back; @p at is find(entry.line). */
+    void pushBack(const WqEntry& entry, std::size_t at);
+
     void drainOne();
-    void drainEntry(std::list<WqEntry>::iterator it);
+    void drainEntry(const WqEntry& entry);
     void drainToWatermark();
 
     const GpsConfig* config_;
     std::uint32_t lineBytes_;
+    unsigned lineShift_;
     PageGeometry geometry_;
     DrainFn drain_;
 
-    /** FIFO by insertion order (front = least recently added). */
-    std::list<WqEntry> fifo_;
-    std::unordered_map<Addr, std::list<WqEntry>::iterator> index_;
+    /** Resident entries: count_ of them from head_, in insertion order. */
+    std::vector<WqEntry> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+
+    /** Line index: ring slots by line, twice the ring's size. */
+    std::vector<RingSlot> index_;
+    unsigned indexShift_ = 0;
+
     std::uint32_t occupancy_ = 0;
 
     std::uint64_t inserts_ = 0;

@@ -14,10 +14,12 @@
 #ifndef GPS_SNAPSHOT_SERIAL_HH
 #define GPS_SNAPSHOT_SERIAL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gps::snapshot
@@ -79,25 +81,47 @@ class Serializer
     /** Start a named section; the reader must consume the same tag. */
     void section(const std::string& name) { str(name); }
 
+    /** Overwrite the u32 written at byte @p at (a reserved field). */
+    void
+    patchU32(std::size_t at, std::uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            buf_[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+
+    /** Overwrite the u64 written at byte @p at (a reserved field). */
+    void
+    patchU64(std::size_t at, std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            buf_[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+
     const std::string& bytes() const { return buf_; }
+
+    /** Move the encoded bytes out, leaving this serializer empty. */
+    std::string take() { return std::move(buf_); }
 
   private:
     std::string buf_;
 };
 
-/** Range-checked decoder over an immutable byte buffer. */
+/**
+ * Range-checked decoder over an immutable byte buffer, which must
+ * outlive it; offsets in its errors count from the buffer's start.
+ */
 class Deserializer
 {
   public:
-    explicit Deserializer(const std::string& bytes)
-        : buf_(&bytes)
+    explicit Deserializer(std::string_view bytes)
+        : buf_(bytes)
     {}
 
     std::uint8_t
     u8()
     {
         need(1);
-        return static_cast<std::uint8_t>((*buf_)[pos_++]);
+        return static_cast<std::uint8_t>(buf_[pos_++]);
     }
 
     std::uint32_t
@@ -107,7 +131,7 @@ class Deserializer
         std::uint32_t v = 0;
         for (int i = 0; i < 4; ++i)
             v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>((*buf_)[pos_ + i]))
+                     static_cast<unsigned char>(buf_[pos_ + i]))
                  << (8 * i);
         pos_ += 4;
         return v;
@@ -120,7 +144,7 @@ class Deserializer
         std::uint64_t v = 0;
         for (int i = 0; i < 8; ++i)
             v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>((*buf_)[pos_ + i]))
+                     static_cast<unsigned char>(buf_[pos_ + i]))
                  << (8 * i);
         pos_ += 8;
         return v;
@@ -152,7 +176,7 @@ class Deserializer
     {
         const std::uint64_t len = u64();
         need(len);
-        std::string s = buf_->substr(pos_, len);
+        std::string s(buf_.substr(pos_, len));
         pos_ += len;
         return s;
     }
@@ -180,29 +204,29 @@ class Deserializer
             throw SnapshotError(
                 "corrupt snapshot: element count " + std::to_string(n) +
                 " exceeds limit " + std::to_string(max));
-        if (n > buf_->size() - pos_)
+        if (n > buf_.size() - pos_)
             throw SnapshotError(
                 "corrupt snapshot: element count " + std::to_string(n) +
-                " exceeds the " + std::to_string(buf_->size() - pos_) +
+                " exceeds the " + std::to_string(buf_.size() - pos_) +
                 " bytes left");
         return n;
     }
 
-    bool atEnd() const { return pos_ == buf_->size(); }
+    bool atEnd() const { return pos_ == buf_.size(); }
     std::size_t pos() const { return pos_; }
 
   private:
     void
     need(std::uint64_t n)
     {
-        if (n > buf_->size() - pos_)
+        if (n > buf_.size() - pos_)
             throw SnapshotError(
                 "truncated snapshot: need " + std::to_string(n) +
                 " bytes at offset " + std::to_string(pos_) + ", have " +
-                std::to_string(buf_->size() - pos_));
+                std::to_string(buf_.size() - pos_));
     }
 
-    const std::string* buf_;
+    std::string_view buf_;
     std::size_t pos_ = 0;
 };
 

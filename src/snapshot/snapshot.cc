@@ -270,36 +270,43 @@ encodeSnapshot(MultiGpuSystem& system, const Paradigm& paradigm,
                const FaultEngine* faults, const SnapshotMeta& meta,
                const RunnerProgress& progress)
 {
-    Serializer body;
-    saveMeta(body, meta);
-    saveProgress(body, progress);
-    body.section("clock");
-    body.u64(system.now());
-    system.topology().saveState(body);
-    for (std::size_t g = 0; g < system.numGpus(); ++g)
-        system.gpu(static_cast<GpuId>(g)).saveState(body);
-    system.driver().saveState(body);
-    body.b(faults != nullptr);
-    if (faults != nullptr)
-        faults->saveState(body);
-    paradigm.saveState(body);
-    body.section("summary");
-    body.str(buildSummary(system, paradigm));
-
-    Serializer file;
+    // Header first with its CRC and body length zeroed, patched once
+    // the body behind it is complete.
+    Serializer out;
     for (const char c : magic)
-        file.u8(static_cast<std::uint8_t>(c));
-    file.u32(snapshotVersion);
-    file.u32(crc32Of(body.bytes()));
-    file.u64(body.bytes().size());
-    std::string out = file.bytes();
-    out += body.bytes();
-    return out;
+        out.u8(static_cast<std::uint8_t>(c));
+    out.u32(snapshotVersion);
+    const std::size_t crc_at = out.bytes().size();
+    out.u32(0);
+    const std::size_t length_at = out.bytes().size();
+    out.u64(0);
+
+    saveMeta(out, meta);
+    saveProgress(out, progress);
+    out.section("clock");
+    out.u64(system.now());
+    system.topology().saveState(out);
+    for (std::size_t g = 0; g < system.numGpus(); ++g)
+        system.gpu(static_cast<GpuId>(g)).saveState(out);
+    system.driver().saveState(out);
+    out.b(faults != nullptr);
+    if (faults != nullptr)
+        faults->saveState(out);
+    paradigm.saveState(out);
+    out.section("summary");
+    out.str(buildSummary(system, paradigm));
+
+    const std::string_view body =
+        std::string_view(out.bytes()).substr(headerBytes);
+    out.patchU32(crc_at, crc32Of(body));
+    out.patchU64(length_at, body.size());
+    return out.take();
 }
 
 Snapshot
-decodeSnapshot(const std::string& bytes)
+decodeSnapshot(std::shared_ptr<const std::string> file)
 {
+    const std::string& bytes = *file;
     if (bytes.size() < headerBytes)
         throw SnapshotError("truncated snapshot: " +
                             std::to_string(bytes.size()) +
@@ -324,11 +331,12 @@ decodeSnapshot(const std::string& bytes)
             std::to_string(bytes.size() - headerBytes));
 
     Snapshot snap;
-    snap.body = bytes.substr(headerBytes);
-    if (crc32Of(snap.body) != crc_stored)
+    snap.file = std::move(file);
+    snap.bodyOffset = headerBytes;
+    if (crc32Of(snap.body()) != crc_stored)
         throw SnapshotError("corrupt snapshot: body CRC mismatch");
 
-    Deserializer body(snap.body);
+    Deserializer body(snap.body());
     restoreMeta(body, snap.meta);
     restoreProgress(body, snap.progress);
     return snap;
@@ -351,7 +359,8 @@ readSnapshotFile(const std::string& path)
     if (read_err)
         throw SnapshotError("cannot read snapshot '" + path + "'");
     try {
-        return decodeSnapshot(bytes);
+        return decodeSnapshot(
+            std::make_shared<const std::string>(std::move(bytes)));
     } catch (const SnapshotError& e) {
         throw SnapshotError("snapshot '" + path + "': " + e.what());
     }
@@ -394,7 +403,7 @@ void
 applyState(const Snapshot& snap, MultiGpuSystem& system,
            Paradigm& paradigm, FaultEngine* faults, bool mutateForTest)
 {
-    Deserializer in(snap.body);
+    Deserializer in(snap.body());
     SnapshotMeta meta;
     RunnerProgress progress;
     restoreMeta(in, meta);

@@ -28,8 +28,11 @@
 #ifndef GPS_SNAPSHOT_SNAPSHOT_HH
 #define GPS_SNAPSHOT_SNAPSHOT_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -124,14 +127,24 @@ struct Snapshot
     SnapshotMeta meta;
     RunnerProgress progress;
 
-    /** Full body bytes; applyState() re-walks them section by section. */
-    std::string body;
+    /** The snapshot file bytes (header + body), shared, not copied. */
+    std::shared_ptr<const std::string> file;
+
+    /** Where the body starts in *file. */
+    std::size_t bodyOffset = 0;
+
+    /** The body; applyState() re-walks it section by section. */
+    std::string_view
+    body() const
+    {
+        return std::string_view(*file).substr(bodyOffset);
+    }
 };
 
 /**
  * Encode the current quiescent state of @p system / @p paradigm /
  * @p faults (nullptr when no fault engine is active) into complete
- * snapshot file bytes (header + body).
+ * snapshot file bytes (header + body), built in one buffer.
  */
 std::string encodeSnapshot(MultiGpuSystem& system,
                            const Paradigm& paradigm,
@@ -141,10 +154,10 @@ std::string encodeSnapshot(MultiGpuSystem& system,
 
 /**
  * Validate the header (magic, version, length, CRC) and decode the
- * meta and progress sections.
+ * meta and progress sections; the result keeps @p file for its body.
  * @throws SnapshotError on any truncation, corruption or version skew
  */
-Snapshot decodeSnapshot(const std::string& bytes);
+Snapshot decodeSnapshot(std::shared_ptr<const std::string> file);
 
 /** Read and decode a snapshot file. @throws SnapshotError */
 Snapshot readSnapshotFile(const std::string& path);

@@ -255,13 +255,13 @@ class RefCache
         return writeback;
     }
 
-    /** Valid lines whose region shares @p addr's count slot. */
+    /** Valid lines whose region shares @p addr's count slot in a table
+     *  of @p slots slots. */
     std::uint32_t
-    residentInSlotOf(Addr addr) const
+    residentInSlotOf(Addr addr, std::size_t slots) const
     {
-        const auto slot = [](std::uint64_t byte) {
-            return (byte >> CacheModel::regionShift) %
-                   CacheModel::regionSlots;
+        const auto slot = [slots](std::uint64_t byte) {
+            return (byte >> CacheModel::regionShift) % slots;
         };
         std::uint32_t count = 0;
         for (std::size_t i = 0; i < lines_.size(); ++i) {
@@ -327,12 +327,14 @@ saved(const CacheModel& cache)
  *  including its snapshot bytes and every count slot. */
 TEST(CacheModel, MatchesBruteForceReferenceUnderRandomOps)
 {
-    // Bases 1 GB apart alias in the count table; the 2 MB windows at
-    // each base let 2 MB invalidations span 32 regions.
+    // Bases 1 GB apart alias in the full-width count table, and bases
+    // 64 MB apart in the 1,024-slot table of a one-way stride; the 2 MB
+    // windows at each base let 2 MB invalidations span 32 regions.
     const Addr alias = Addr(CacheModel::regionSlots)
                        << CacheModel::regionShift;
     const std::vector<Addr> bases = {0, alias, 6 * MiB,
-                                     alias + 6 * MiB + 64 * KiB};
+                                     alias + 6 * MiB + 64 * KiB,
+                                     64 * MiB + 64 * KiB};
     const std::vector<std::uint64_t> pages = {4 * KiB, 64 * KiB,
                                               2 * MiB};
     struct Geometry
@@ -394,7 +396,8 @@ TEST(CacheModel, MatchesBruteForceReferenceUnderRandomOps)
                 for (const Addr base : bases)
                     for (Addr a = base; a < base + 2 * MiB; a += 64 * KiB)
                         ASSERT_EQ(cache->residentInSlotOf(a),
-                                  ref.residentInSlotOf(a))
+                                  ref.residentInSlotOf(
+                                      a, cache->residentSlots()))
                             << "op " << op << " addr " << a;
             }
         }
@@ -508,6 +511,104 @@ TEST(CacheModel, RestoreRebuildsStoredWaysAndResavesIdentically)
     EXPECT_EQ(roundTrip(saved(CacheModel("l2", 6 * MiB, 128, 16)))
                   ->storedWays(),
               1u);
+}
+
+/** Property: the count table has regionSlots * storedWays / ways slots
+ *  (the associativity rounded up to a power of two, regionSlots once
+ *  every way is stored), and its counts stay exact through each growth
+ *  and a restore. */
+TEST(CacheModel, ResidentSlotsFollowStoredWays)
+{
+    struct Geometry
+    {
+        std::uint64_t capacity;
+        std::uint32_t ways;
+        std::vector<std::size_t> slots; ///< per stride 1, 2, 4, ...
+    };
+    for (const auto& [capacity, ways, want] :
+         {Geometry{6 * MiB, 16, {1024, 2048, 4096, 8192, 16384}},
+          Geometry{40 * 12 * 128, 12, {1024, 2048, 4096, 8192, 16384}},
+          Geometry{16 * KiB, 4, {4096, 8192, 16384}}}) {
+        const std::uint64_t sets = capacity / 128 / ways;
+        CacheModel cache("l2", capacity, 128, ways);
+        RefCache ref(capacity, 128, ways);
+        // Line k of set 0 starts region k * sets, so the lines share
+        // count slots differently in each table size: a table that kept
+        // its old counts through a growth would read wrong.
+        const auto lineAt = [sets](std::uint64_t k) {
+            return Addr(k * sets) << CacheModel::regionShift;
+        };
+        const auto expectExact = [&](const CacheModel& model) {
+            for (std::uint64_t k = 0; k <= ways; ++k)
+                for (const Addr a : {lineAt(k), lineAt(k) + 64 * KiB})
+                    ASSERT_EQ(model.residentInSlotOf(a),
+                              ref.residentInSlotOf(a,
+                                                   model.residentSlots()))
+                        << "ways " << ways << " addr " << a;
+        };
+
+        // Fill set 0 and the last set one way at a time.
+        std::size_t step = 0;
+        ASSERT_EQ(cache.residentSlots(), want[step]);
+        for (std::uint64_t k = 0; k < ways; ++k) {
+            for (const Addr a : {lineAt(k), lineAt(k) + (sets - 1) * 128}) {
+                cache.access(a, k % 2 == 0);
+                ref.access(a, k % 2 == 0);
+            }
+            if (cache.storedWays() > (1u << step))
+                ++step;
+            ASSERT_EQ(cache.residentSlots(), want[step])
+                << "ways " << ways << " stride " << cache.storedWays();
+            expectExact(cache);
+        }
+        EXPECT_EQ(cache.storedWays(), ways);
+        EXPECT_EQ(step + 1, want.size());
+
+        // A restored cache sizes and fills its table the same way.
+        const std::string bytes = saved(cache);
+        CacheModel restored("l2", capacity, 128, ways);
+        snapshot::Deserializer in(bytes);
+        restored.restoreState(in);
+        EXPECT_EQ(restored.residentSlots(), cache.residentSlots());
+        expectExact(restored);
+
+        // So does a restore of a cache still at one way.
+        CacheModel narrow("l2", capacity, 128, ways);
+        narrow.access(0, true);
+        const std::string narrow_bytes = saved(narrow);
+        CacheModel narrow_restored("l2", capacity, 128, ways);
+        snapshot::Deserializer narrow_in(narrow_bytes);
+        narrow_restored.restoreState(narrow_in);
+        EXPECT_EQ(narrow_restored.residentSlots(), want.front());
+        // Region want.front() shares line 0's slot only in that table.
+        EXPECT_EQ(narrow_restored.residentInSlotOf(
+                      Addr(want.front()) << CacheModel::regionShift),
+                  1u);
+    }
+}
+
+TEST(CacheModel, RestoreRejectsATagHeldTwiceInOneSet)
+{
+    const std::uint64_t sets = 16 * KiB / 128 / 4;
+    auto cache = makeCache();
+    cache.access(lineInSet(cache, sets, 0, 0), false);
+    cache.access(lineInSet(cache, sets, 0, 1), false);
+    const std::string good = saved(cache);
+
+    // Rewrite set 0's way 1 tag (after the section tag, the line count
+    // and one 18-byte line) to way 0's tag, 0.
+    const std::size_t at = 8 + 5 + 8 + 18;
+    std::string bad = good;
+    for (int i = 0; i < 8; ++i)
+        bad[at + i] = 0;
+    auto restored = makeCache();
+    snapshot::Deserializer in(bad);
+    EXPECT_THROW(restored.restoreState(in), snapshot::SnapshotError);
+
+    // The same two lines with way 1 invalid restore.
+    bad[at + 8] = 0;
+    snapshot::Deserializer fits(bad);
+    EXPECT_NO_THROW(restored.restoreState(fits));
 }
 
 TEST(CacheModel, RestoreRejectsStampWiderThanThePackedField)

@@ -320,7 +320,8 @@ TEST_F(SnapshotCorruption, VersionTwoFileIsRejected)
     header.u64(body.size());
     const std::string v2 = header.bytes() + body;
     try {
-        (void)snapshot::decodeSnapshot(v2);
+        (void)snapshot::decodeSnapshot(
+            std::make_shared<const std::string>(v2));
         ADD_FAILURE() << "version-2 snapshot was accepted";
     } catch (const snapshot::SnapshotError& e) {
         EXPECT_NE(std::string(e.what()).find("version 2"),
@@ -508,7 +509,7 @@ TEST(SnapshotObs, ResumeWithoutCollectorStateSamplesFromTheResumeTick)
     const std::shared_ptr<std::string> blob =
         captureAt("Jacobi", base, {snapshot::AtKind::Iter, 2}).first;
     ASSERT_FALSE(blob->empty());
-    const Tick resume_tick = snapshot::decodeSnapshot(*blob).progress.tBefore;
+    const Tick resume_tick = snapshot::decodeSnapshot(blob).progress.tBefore;
     ASSERT_GT(resume_tick, 0u);
 
     RunConfig resume = base;
