@@ -4,13 +4,15 @@
  * bit per GPS page per GPU, fed by last-level conventional TLB misses
  * during the profiling window and read back by the driver at
  * gpsTrackingStop() to drive unsubscription.
+ *
+ * Storage is one GpuMask per page in a dense array indexed by
+ * vpn - base, like the GPS page table, so the touched set of a page is a
+ * single load.
  */
 
 #ifndef GPS_CORE_ACCESS_TRACKER_HH
 #define GPS_CORE_ACCESS_TRACKER_HH
 
-#include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include "common/gpu_mask.hh"
@@ -27,7 +29,7 @@ class AccessTracker : public SimObject
 {
   public:
     explicit AccessTracker(std::size_t num_gpus)
-        : SimObject("access_tracker"), perGpu_(num_gpus)
+        : SimObject("access_tracker"), numGpus_(num_gpus)
     {}
 
     /** Open the profiling window (cuGPSTrackingStart). */
@@ -45,34 +47,31 @@ class AccessTracker : public SimObject
         if (!active_)
             return;
         ++marks_;
-        perGpu_[gpu].insert(vpn);
+        record(gpu, vpn);
     }
 
     /** Whether @p gpu touched @p vpn during the window. */
     bool
     touched(GpuId gpu, PageNum vpn) const
     {
-        return perGpu_[gpu].count(vpn) > 0;
+        return maskHas(touchedMask(vpn), gpu);
     }
 
     /** Set of GPUs that touched @p vpn. */
     GpuMask
     touchedMask(PageNum vpn) const
     {
-        GpuMask mask = 0;
-        for (std::size_t g = 0; g < perGpu_.size(); ++g) {
-            if (perGpu_[g].count(vpn) > 0)
-                mask = maskSet(mask, static_cast<GpuId>(g));
-        }
-        return mask;
+        if (vpn < base_ || vpn - base_ >= masks_.size())
+            return 0;
+        return masks_[vpn - base_];
     }
 
     /** Forget everything (new profiling window). */
     void
     clear()
     {
-        for (auto& set : perGpu_)
-            set.clear();
+        masks_.clear();
+        entries_ = 0;
     }
 
     /**
@@ -90,50 +89,57 @@ class AccessTracker : public SimObject
 
     void registerMetrics(MetricRegistry& reg) const override;
 
-    /**
-     * Serialize the touched sets in ascending VPN order — the
-     * unordered sets feed only order-insensitive consumers
-     * (touchedMask), but snapshot bytes must not depend on hash
-     * iteration order.
-     */
-    void
-    saveState(snapshot::Serializer& out) const
-    {
-        out.section("tracker");
-        out.u64(perGpu_.size());
-        for (const auto& set : perGpu_) {
-            std::vector<PageNum> vpns(set.begin(), set.end());
-            std::sort(vpns.begin(), vpns.end());
-            out.u64(vpns.size());
-            for (const PageNum vpn : vpns)
-                out.u64(vpn);
-        }
-        out.b(active_);
-        out.u64(marks_);
-    }
+    /** Serialize each GPU's touched pages as an ascending VPN list. */
+    void saveState(snapshot::Serializer& out) const;
 
-    /** Counterpart of saveState. */
+    /**
+     * Counterpart of saveState.
+     * @param is_gps_page whether a VPN is a GPS page, the only pages
+     *        mark() ever sees; the dense array must not stretch over a
+     *        hostile VPN range
+     * @throws snapshot::SnapshotError on another GPU count or a VPN
+     *         that is not a GPS page
+     */
+    template <typename IsGpsPage>
     void
-    restoreState(snapshot::Deserializer& in)
+    restoreState(snapshot::Deserializer& in, IsGpsPage&& is_gps_page)
     {
         in.section("tracker");
-        if (in.u64() != perGpu_.size())
+        if (in.u64() != numGpus_)
             throw snapshot::SnapshotError(
                 "snapshot GPU count differs from the configured "
                 "tracker");
-        for (auto& set : perGpu_) {
-            set.clear();
+        clear();
+        for (std::size_t g = 0; g < numGpus_; ++g) {
             const std::uint64_t n = in.count(1ULL << 32);
-            set.reserve(n);
-            for (std::uint64_t i = 0; i < n; ++i)
-                set.insert(in.u64());
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const PageNum vpn = in.u64();
+                if (!is_gps_page(vpn))
+                    throw snapshot::SnapshotError(
+                        "corrupt snapshot: access tracker marks a page "
+                        "that is not a GPS page");
+                record(static_cast<GpuId>(g), vpn);
+            }
         }
         active_ = in.b();
         marks_ = in.u64();
     }
 
   private:
-    std::vector<std::unordered_set<PageNum>> perGpu_;
+    /** Set @p gpu's bit of @p vpn, growing the dense array to cover it. */
+    void record(GpuId gpu, PageNum vpn);
+
+    std::size_t numGpus_;
+
+    /** VPN of masks_[0]; meaningful only when masks_ is non-empty. */
+    PageNum base_ = 0;
+
+    /** Touched GPUs per page over [base_, base_ + masks_.size()). */
+    std::vector<GpuMask> masks_;
+
+    /** (GPU, page) pairs marked: the bits set across masks_. */
+    std::uint64_t entries_ = 0;
+
     bool active_ = false;
     std::uint64_t marks_ = 0;
 };

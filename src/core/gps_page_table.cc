@@ -1,6 +1,7 @@
 #include "core/gps_page_table.hh"
 
-#include <algorithm>
+#include <cassert>
+#include <string>
 
 #include "obs/metric_registry.hh"
 
@@ -45,7 +46,17 @@ GpsPageTable::addReplica(PageNum vpn, GpuId gpu, PageNum ppn)
 }
 
 void
-GpsPageTable::removeReplica(PageNum vpn, GpuId gpu)
+GpsPageTable::appendReplica(PageNum vpn, GpuId gpu, PageNum ppn)
+{
+    GpsPte& pte = slot(vpn);
+    assert(!pte.hasSubscriber(gpu) && "replica of a non-subscriber");
+    if (pte.replicas.empty())
+        ++live_;
+    pte.replicas.push_back({gpu, ppn});
+}
+
+void
+GpsPageTable::removeReplicas(PageNum vpn, const GpuMask& gpus)
 {
     if (table_.empty() || vpn < base_ ||
         vpn - base_ >= table_.size())
@@ -53,11 +64,9 @@ GpsPageTable::removeReplica(PageNum vpn, GpuId gpu)
     auto& replicas = table_[vpn - base_].replicas;
     if (replicas.empty())
         return;
-    replicas.erase(std::remove_if(replicas.begin(), replicas.end(),
-                                  [gpu](const GpsReplica& r) {
-                                      return r.gpu == gpu;
-                                  }),
-                   replicas.end());
+    std::erase_if(replicas, [&gpus](const GpsReplica& r) {
+        return maskHas(gpus, r.gpu);
+    });
     if (replicas.empty())
         --live_;
 }
@@ -70,6 +79,39 @@ GpsPageTable::lookup(PageNum vpn) const
         return nullptr;
     const GpsPte& pte = table_[vpn - base_];
     return pte.replicas.empty() ? nullptr : &pte;
+}
+
+void
+GpsPageTable::restoreState(snapshot::Deserializer& in)
+{
+    in.section("gpstable");
+    base_ = in.u64();
+    table_.assign(in.count(1ULL << 32), GpsPte{});
+    std::size_t nonEmpty = 0;
+    for (GpsPte& pte : table_) {
+        // A replica list can never exceed the mask width.
+        pte.replicas.resize(in.count(maxGpus));
+        GpuMask seen = 0;
+        for (GpsReplica& r : pte.replicas) {
+            const std::uint32_t gpu = in.u32();
+            if (gpu >= maxGpus || maskHas(seen, static_cast<GpuId>(gpu)))
+                throw snapshot::SnapshotError(
+                    "corrupt snapshot: GPS replica list names GPU " +
+                    std::to_string(gpu) +
+                    " twice or beyond the mask width");
+            r.gpu = static_cast<GpuId>(gpu);
+            r.ppn = in.u64();
+            seen = maskSet(seen, r.gpu);
+        }
+        if (!pte.replicas.empty())
+            ++nonEmpty;
+    }
+    live_ = in.u64();
+    if (live_ != nonEmpty)
+        throw snapshot::SnapshotError(
+            "corrupt snapshot: GPS page table live count " +
+            std::to_string(live_) + " differs from its " +
+            std::to_string(nonEmpty) + " non-empty replica lists");
 }
 
 std::uint64_t

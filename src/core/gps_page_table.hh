@@ -70,8 +70,26 @@ class GpsPageTable : public SimObject
     /** Add (or refresh) @p gpu's replica frame for @p vpn. */
     void addReplica(PageNum vpn, GpuId gpu, PageNum ppn);
 
+    /**
+     * Record a new subscriber's replica without scanning for an old
+     * one: @p gpu must hold none (asserted in debug builds), which the
+     * subscriber mask guarantees because a non-subscriber's replica is
+     * always removed with its subscription.
+     */
+    void appendReplica(PageNum vpn, GpuId gpu, PageNum ppn);
+
     /** Remove @p gpu's replica record; the PTE dies when empty. */
-    void removeReplica(PageNum vpn, GpuId gpu);
+    void
+    removeReplica(PageNum vpn, GpuId gpu)
+    {
+        removeReplicas(vpn, gpuBit(gpu));
+    }
+
+    /**
+     * Remove the replica records of every GPU in @p gpus in one stable
+     * pass; the PTE dies when empty.
+     */
+    void removeReplicas(PageNum vpn, const GpuMask& gpus);
 
     /** PTE for @p vpn, or nullptr. */
     const GpsPte* lookup(PageNum vpn) const;
@@ -131,27 +149,15 @@ class GpsPageTable : public SimObject
         out.u64(live_);
     }
 
-    /** Counterpart of saveState; replaces the current contents. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("gpstable");
-        base_ = in.u64();
-        table_.assign(in.count(1ULL << 32), GpsPte{});
-        for (GpsPte& pte : table_) {
-            pte.replicas.resize(in.count(maxGpusPerReplicaList));
-            for (GpsReplica& r : pte.replicas) {
-                r.gpu = static_cast<GpuId>(in.u32());
-                r.ppn = in.u64();
-            }
-        }
-        live_ = in.u64();
-    }
+    /**
+     * Counterpart of saveState; replaces the current contents.
+     * @throws snapshot::SnapshotError on a GPU id of maxGpus or more, a
+     *         GPU listed twice in one replica list, or a live count
+     *         that differs from the number of non-empty lists
+     */
+    void restoreState(snapshot::Deserializer& in);
 
   private:
-    /** A replica list can never exceed the mask width. */
-    static constexpr std::uint64_t maxGpusPerReplicaList = maxGpus;
-
     /** Slot for @p vpn, growing the dense array to cover it. */
     GpsPte& slot(PageNum vpn);
 

@@ -146,12 +146,13 @@ GpsParadigm::onDrain(GpuId producer, const WqEntry& entry)
     gps_assert(ctxCounters_ != nullptr,
                "write queue drained outside a replay context");
     // W5: translate through the GPS-TLB / GPS page table.
-    units_[producer]->translate(entry.vpn, *ctxCounters_);
+    const PageNum vpn = sys().geometry().pageNum(entry.line);
+    units_[producer]->translate(vpn, *ctxCounters_);
 
     // W6: one cache-block message per remote subscriber (interconnect
     // transfers are block-granular; §7.5 discusses the waste).
-    const PageState& st = drv().state(entry.vpn);
-    forwardToSubscribers(producer, st.subscribers, entry.vpn, lineBytes(),
+    const PageState& st = drv().state(vpn);
+    forwardToSubscribers(producer, st.subscribers, vpn, lineBytes(),
                          *ctxCounters_);
     ++ctxCounters_->wqDrains;
 }
@@ -400,12 +401,8 @@ GpsParadigm::trackingStop(KernelCounters& counters)
         if (region.kind != MemKind::Gps || region.manualSubscription)
             continue;
         drv().forEachPage(region, [&](PageNum vpn) {
-            const GpuMask touched = tracker_->touchedMask(vpn);
-            const GpuMask subscribers = subs_->subscribers(vpn);
-            maskForEach(subscribers, [&](GpuId g) {
-                if (!maskHas(touched, g))
-                    subs_->unsubscribe(vpn, g, &counters);
-            });
+            subs_->unsubscribeExcept(vpn, tracker_->touchedMask(vpn),
+                                     &counters);
         });
     }
     tracker_->clear();
@@ -523,7 +520,10 @@ GpsParadigm::restoreState(snapshot::Deserializer& in)
     in.section("paradigm:gps");
     gpsTable_->restoreState(in);
     subs_->restoreState(in);
-    tracker_->restoreState(in);
+    tracker_->restoreState(in, [this](PageNum vpn) {
+        const PageState* st = drv().findState(vpn);
+        return st != nullptr && st->kind == MemKind::Gps;
+    });
     const std::uint64_t queues = in.u64();
     if (queues != queues_.size())
         throw snapshot::SnapshotError(

@@ -66,7 +66,6 @@ RemoteWriteQueue::insert(Addr addr, std::uint32_t size,
 
     WqEntry entry;
     entry.line = line;
-    entry.vpn = geometry_.pageNum(line);
     entry.bytesWritten = std::min<std::uint32_t>(lineBytes_, size);
     entry.mergedStores = 1;
     entry.weight = weight;
@@ -145,7 +144,7 @@ RemoteWriteQueue::drainPage(PageNum vpn)
     std::size_t kept = 0;
     for (std::size_t i = 0; i < count_; ++i) {
         const std::size_t slot = slotAt(i);
-        if (ring_[slot].vpn != vpn) {
+        if (geometry_.pageNum(ring_[slot].line) != vpn) {
             if (kept != i) {
                 const std::size_t to = slotAt(kept);
                 index_[find(ring_[slot].line)] = to;
@@ -237,7 +236,10 @@ RemoteWriteQueue::restoreState(snapshot::Deserializer& in)
     for (std::uint64_t i = 0; i < n; ++i) {
         WqEntry e;
         e.line = in.u64();
-        e.vpn = in.u64();
+        if (in.u64() != geometry_.pageNum(e.line))
+            throw snapshot::SnapshotError(
+                "corrupt snapshot: write-queue entry's vpn is not its "
+                "line's page");
         e.bytesWritten = in.u32();
         e.mergedStores = in.u32();
         e.weight = in.u32();

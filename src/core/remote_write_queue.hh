@@ -35,11 +35,8 @@ namespace gps
 /** One coalescing buffer entry (one cache block). */
 struct WqEntry
 {
-    /** Line-aligned virtual address. */
+    /** Line-aligned virtual address (its page is pageNum(line)). */
     Addr line = 0;
-
-    /** Virtual page the line belongs to. */
-    PageNum vpn = 0;
 
     /** Distinct bytes written so far (capped at the line size). */
     std::uint32_t bytesWritten = 0;
@@ -60,6 +57,8 @@ struct WqEntry
      */
     std::uint64_t seq = 0;
 };
+
+static_assert(sizeof(WqEntry) == 32, "write-queue entry layout drifted");
 
 /** Per-GPU remote write queue. */
 class RemoteWriteQueue : public SimObject
@@ -170,9 +169,9 @@ class RemoteWriteQueue : public SimObject
     {
         out.section("rwq");
         out.u64(count_);
-        forEachEntry([&out](const WqEntry& e) {
+        forEachEntry([&](const WqEntry& e) {
             out.u64(e.line);
-            out.u64(e.vpn);
+            out.u64(geometry_.pageNum(e.line));
             out.u32(e.bytesWritten);
             out.u32(e.mergedStores);
             out.u32(e.weight);
@@ -191,7 +190,8 @@ class RemoteWriteQueue : public SimObject
 
     /**
      * Counterpart of saveState.
-     * @throws snapshot::SnapshotError when a line is buffered twice
+     * @throws snapshot::SnapshotError when a line is buffered twice or
+     *         a stored VPN is not its line's page
      */
     void restoreState(snapshot::Deserializer& in);
 

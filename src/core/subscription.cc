@@ -69,7 +69,7 @@ SubscriptionManager::subscribe(PageNum vpn, GpuId gpu)
         maskForEach(st.subscribers, [&](GpuId existing) {
             const Pte* pte = driver_->pageTable(existing).lookup(vpn);
             if (pte != nullptr && pte->location == existing)
-                table_->addReplica(vpn, existing, pte->ppn);
+                table_->appendReplica(vpn, existing, pte->ppn);
         });
     }
 
@@ -82,13 +82,15 @@ SubscriptionManager::subscribe(PageNum vpn, GpuId gpu)
         return SubscribeResult::AlreadySubscribed;
     }
 
-    if (!driver_->backPage(vpn, gpu)) {
+    const std::optional<PageNum> ppn = driver_->backPage(vpn, gpu);
+    if (!ppn.has_value()) {
         ++oversubscriptionRejects_;
         return SubscribeResult::OutOfMemory;
     }
     st.subscribers = maskSet(st.subscribers, gpu);
-    const Pte* pte = driver_->pageTable(gpu).lookup(vpn);
-    table_->addReplica(vpn, gpu, pte->ppn);
+    // A non-subscriber holds no replica (subscription.replica-subset),
+    // so the new record needs no duplicate scan.
+    table_->appendReplica(vpn, gpu, *ppn);
     refreshGpsBit(vpn);
     ++subscribeOps_;
     if (sinks_.profile != nullptr)
@@ -110,9 +112,34 @@ SubscriptionManager::unsubscribe(PageNum vpn, GpuId gpu,
     if (maskCount(st.subscribers) == 1)
         return UnsubscribeResult::LastSubscriber;
 
+    dropSubscriber(vpn, st, gpu, counters);
+    table_->removeReplica(vpn, gpu);
+    return UnsubscribeResult::Ok;
+}
+
+void
+SubscriptionManager::unsubscribeExcept(PageNum vpn, const GpuMask& keep,
+                                       KernelCounters* counters)
+{
+    PageState& st = driver_->state(vpn);
+    gps_assert(st.kind == MemKind::Gps,
+               "unsubscribe from non-GPS page ", vpn);
+    GpuMask dropped = 0;
+    maskForEach(st.subscribers & ~keep, [&](GpuId g) {
+        if (maskCount(st.subscribers) == 1)
+            return; // the last subscriber stays
+        dropSubscriber(vpn, st, g, counters);
+        dropped = maskSet(dropped, g);
+    });
+    table_->removeReplicas(vpn, dropped);
+}
+
+void
+SubscriptionManager::dropSubscriber(PageNum vpn, PageState& st, GpuId gpu,
+                                    KernelCounters* counters)
+{
     driver_->unbackPage(vpn, gpu, counters);
     st.subscribers = maskClear(st.subscribers, gpu);
-    table_->removeReplica(vpn, gpu);
     if (st.location == gpu)
         st.location = maskFirst(st.subscribers);
     refreshGpsBit(vpn);
@@ -121,7 +148,6 @@ SubscriptionManager::unsubscribe(PageNum vpn, GpuId gpu,
         sinks_.profile->noteSubscriptionFlip(vpn);
     if (sinks_.check != nullptr)
         sinks_.check->noteUnsubscribe(vpn, gpu);
-    return UnsubscribeResult::Ok;
 }
 
 void

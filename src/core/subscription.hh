@@ -78,6 +78,16 @@ class SubscriptionManager : public SimObject
     UnsubscribeResult unsubscribe(PageNum vpn, GpuId gpu,
                                   KernelCounters* counters = nullptr);
 
+    /**
+     * Unsubscribe every subscriber of @p vpn outside @p keep, in
+     * ascending GPU order, exactly as one unsubscribe() each would
+     * (the last subscriber is still refused), but drop their replica
+     * records from the GPS page table in one pass at the end
+     * (cuGPSTrackingStop with @p keep the touched set).
+     */
+    void unsubscribeExcept(PageNum vpn, const GpuMask& keep,
+                           KernelCounters* counters);
+
     /** Subscribe every GPU to every page of @p region. */
     void subscribeAll(const Region& region);
 
@@ -147,6 +157,13 @@ class SubscriptionManager : public SimObject
     }
 
   private:
+    /**
+     * Everything unsubscribe() does to a subscriber @p gpu that is not
+     * the last one, except removing its GPS page table record.
+     */
+    void dropSubscriber(PageNum vpn, PageState& st, GpuId gpu,
+                        KernelCounters* counters);
+
     /** Keep PageState and conventional/GPS page tables consistent. */
     void refreshGpsBit(PageNum vpn);
 

@@ -45,7 +45,7 @@ Driver::malloc(std::uint64_t size, GpuId home, std::string label)
     const Region& region =
         allocCommon(size, MemKind::Pinned, std::move(label), home, false);
     forEachPage(region, [&](PageNum vpn) {
-        const bool ok = backPage(vpn, home);
+        const bool ok = backPage(vpn, home).has_value();
         if (!ok)
             gps_fatal("GPU ", home, " out of memory backing pinned page");
         for (GpuId g = 0; g < numGpus(); ++g) {
@@ -72,7 +72,7 @@ Driver::mallocGps(std::uint64_t size, std::string label, GpuId home,
         allocCommon(size, MemKind::Gps, std::move(label), home, manual);
     forEachPage(region, [&](PageNum vpn) {
         // "backs it with physical memory in at least one GPU" (§4).
-        const bool ok = backPage(vpn, home);
+        const bool ok = backPage(vpn, home).has_value();
         if (!ok)
             gps_fatal("GPU ", home, " out of memory backing GPS page");
         PageState& st = state(vpn);
@@ -89,7 +89,7 @@ Driver::mallocReplicated(std::uint64_t size, std::string label, GpuId home)
                                        std::move(label), home, false);
     forEachPage(region, [&](PageNum vpn) {
         for (GpuId g = 0; g < numGpus(); ++g) {
-            const bool ok = backPage(vpn, g);
+            const bool ok = backPage(vpn, g).has_value();
             if (!ok)
                 gps_fatal("GPU ", g, " out of memory replicating page");
         }
@@ -140,7 +140,7 @@ Driver::adviseReadMostly(Addr base, std::uint64_t len)
     forEachPageIn(base, len, [&](PageState& st) { st.readMostly = true; });
 }
 
-bool
+std::optional<PageNum>
 Driver::backPage(PageNum vpn, GpuId gpu_id)
 {
     PageState& st = state(vpn);
@@ -152,13 +152,13 @@ Driver::backPage(PageNum vpn, GpuId gpu_id)
         ppn = gpu(gpu_id).memory().allocFrame();
     }
     if (!ppn.has_value())
-        return false;
+        return std::nullopt;
     pageTable(gpu_id).map(vpn, Pte{*ppn, gpu_id, st.gpsBitSet});
     st.backed = maskSet(st.backed, gpu_id);
     st.mapped = maskSet(st.mapped, gpu_id);
     if (st.location == invalidGpu)
         st.location = gpu_id;
-    return true;
+    return ppn;
 }
 
 void

@@ -14,6 +14,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/gpu_mask.hh"
@@ -126,9 +127,10 @@ class Driver : public SimObject
      * Allocate a frame for @p vpn on @p gpu and install a local mapping.
      * On exhaustion the reclaim hook (if any) is given one chance to
      * free a frame before the request fails.
-     * @return false when @p gpu is out of physical memory.
+     * @return the new mapping's frame, or nullopt when @p gpu is out of
+     *         physical memory.
      */
-    bool backPage(PageNum vpn, GpuId gpu);
+    std::optional<PageNum> backPage(PageNum vpn, GpuId gpu);
 
     /** Install a peer mapping on @p gpu pointing at @p owner's copy. */
     void mapPeer(PageNum vpn, GpuId gpu, GpuId owner);

@@ -15,28 +15,10 @@ namespace gps
 {
 
 std::uint64_t
-TrafficMatrix::egress(GpuId src) const
-{
-    std::uint64_t sum = 0;
-    for (std::size_t dst = 0; dst < n_; ++dst)
-        sum += bytes_[src * n_ + dst];
-    return sum;
-}
-
-std::uint64_t
-TrafficMatrix::ingress(GpuId dst) const
-{
-    std::uint64_t sum = 0;
-    for (std::size_t src = 0; src < n_; ++src)
-        sum += bytes_[src * n_ + dst];
-    return sum;
-}
-
-std::uint64_t
 TrafficMatrix::total() const
 {
     std::uint64_t sum = 0;
-    for (auto b : bytes_)
+    for (auto b : egress_)
         sum += b;
     return sum;
 }
@@ -45,6 +27,8 @@ void
 TrafficMatrix::clear()
 {
     std::fill(bytes_.begin(), bytes_.end(), 0);
+    std::fill(egress_.begin(), egress_.end(), 0);
+    std::fill(ingress_.begin(), ingress_.end(), 0);
     payload_ = 0;
 }
 
@@ -53,6 +37,8 @@ TrafficMatrix::takeWire(GpuId src, GpuId dst)
 {
     const std::uint64_t bytes = bytes_[src * n_ + dst];
     bytes_[src * n_ + dst] = 0;
+    egress_[src] -= bytes;
+    ingress_[dst] -= bytes;
     return bytes;
 }
 

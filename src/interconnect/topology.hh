@@ -57,7 +57,8 @@ class TrafficMatrix
 {
   public:
     explicit TrafficMatrix(std::size_t num_gpus)
-        : n_(num_gpus), bytes_(num_gpus * num_gpus, 0)
+        : n_(num_gpus), bytes_(num_gpus * num_gpus, 0),
+          egress_(num_gpus, 0), ingress_(num_gpus, 0)
     {}
 
     /**
@@ -69,7 +70,7 @@ class TrafficMatrix
     add(GpuId src, GpuId dst, std::uint64_t bytes,
         std::uint64_t payload = std::uint64_t(-1))
     {
-        bytes_[src * n_ + dst] += bytes;
+        addWire(src, dst, bytes);
         payload_ += payload == std::uint64_t(-1) ? bytes : payload;
     }
 
@@ -83,10 +84,10 @@ class TrafficMatrix
     std::uint64_t payload() const { return payload_; }
 
     /** Total bytes leaving @p src. */
-    std::uint64_t egress(GpuId src) const;
+    std::uint64_t egress(GpuId src) const { return egress_[src]; }
 
     /** Total bytes arriving at @p dst. */
-    std::uint64_t ingress(GpuId dst) const;
+    std::uint64_t ingress(GpuId dst) const { return ingress_[dst]; }
 
     /** Total bytes moved. */
     std::uint64_t total() const;
@@ -107,11 +108,18 @@ class TrafficMatrix
     addWire(GpuId src, GpuId dst, std::uint64_t bytes)
     {
         bytes_[src * n_ + dst] += bytes;
+        egress_[src] += bytes;
+        ingress_[dst] += bytes;
     }
 
   private:
     std::size_t n_;
     std::vector<std::uint64_t> bytes_;
+
+    /** Row and column sums of bytes_, kept with every cell update. */
+    std::vector<std::uint64_t> egress_;
+    std::vector<std::uint64_t> ingress_;
+
     std::uint64_t payload_ = 0;
 };
 

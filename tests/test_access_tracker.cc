@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/stats.hh"
 #include "core/access_tracker.hh"
 
 namespace gps
@@ -80,6 +84,49 @@ TEST(AccessTracker, DuplicateMarksAreIdempotent)
     tracker.mark(0, 1);
     EXPECT_EQ(tracker.touchedMask(1), gpuBit(0));
     EXPECT_EQ(tracker.marks(), 2u); // bandwidth accounting still counts
+}
+
+TEST(AccessTracker, SnapshotListsEachGpusPagesAscending)
+{
+    // Marks arrive out of order and below the first page marked, so the
+    // per-page masks grow at both ends; the snapshot still holds one
+    // ascending VPN list per GPU, and a restore reproduces it.
+    AccessTracker tracker(3);
+    tracker.start();
+    const std::vector<std::pair<GpuId, PageNum>> marks = {
+        {2, 500}, {0, 40}, {2, 41}, {0, 500}, {0, 40}, {1, 7}, {2, 40}};
+    for (const auto& [gpu, vpn] : marks)
+        tracker.mark(gpu, vpn);
+
+    snapshot::Serializer want;
+    want.section("tracker");
+    want.u64(3);
+    for (const std::vector<PageNum>& vpns :
+         {std::vector<PageNum>{40, 500}, {7}, {40, 41, 500}}) {
+        want.u64(vpns.size());
+        for (const PageNum vpn : vpns)
+            want.u64(vpn);
+    }
+    want.b(true);
+    want.u64(marks.size());
+    snapshot::Serializer got;
+    tracker.saveState(got);
+    EXPECT_EQ(got.bytes(), want.bytes());
+
+    StatSet stats;
+    tracker.exportStats(stats);
+    EXPECT_DOUBLE_EQ(stats.get("access_tracker.marks"), 7.0);
+    EXPECT_DOUBLE_EQ(stats.get("access_tracker.touched_page_entries"), 6.0);
+
+    AccessTracker restored(3);
+    snapshot::Deserializer in(got.bytes());
+    restored.restoreState(in, [](PageNum) { return true; });
+    EXPECT_EQ(restored.touchedMask(40), gpuBit(0) | gpuBit(2));
+    EXPECT_EQ(restored.touchedMask(7), gpuBit(1));
+    EXPECT_EQ(restored.touchedMask(8), 0u);
+    snapshot::Serializer again;
+    restored.saveState(again);
+    EXPECT_EQ(again.bytes(), got.bytes());
 }
 
 } // namespace

@@ -9,7 +9,12 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "check/sink.hh"
+#include "common/rng.hh"
 #include "core/gps_paradigm.hh"
 #include "obs/profile.hh"
 
@@ -416,6 +421,249 @@ TEST(GpsForwarding, MaskSumsMatchPerMessageDeliveryFlat)
 TEST(GpsForwarding, MaskSumsMatchPerMessageDeliveryHierarchical)
 {
     checkForwardsOnTwoNodes(true);
+}
+
+/** Records every check-sink call with the page state it saw. */
+class SinkLog : public GpsCheckSink
+{
+  public:
+    explicit SinkLog(Driver& driver) : driver_(&driver) {}
+
+    void
+    noteSubscribe(PageNum vpn, GpuId gpu) override
+    {
+        note("subscribe", vpn, gpu);
+    }
+
+    void
+    noteUnsubscribe(PageNum vpn, GpuId gpu) override
+    {
+        note("unsubscribe", vpn, gpu);
+    }
+
+    void
+    noteCollapse(PageNum vpn, GpuId keeper) override
+    {
+        note("collapse", vpn, keeper);
+    }
+
+    void
+    noteSysFlush(PageNum vpn) override
+    {
+        note("sys_flush", vpn, invalidGpu);
+    }
+
+    void
+    noteWqSaturation(GpuId gpu, bool saturated) override
+    {
+        calls.push_back("wq_saturation " + std::to_string(gpu) +
+                        (saturated ? " on" : " off"));
+    }
+
+    std::vector<std::string> calls;
+
+  private:
+    void
+    note(const char* what, PageNum vpn, GpuId gpu)
+    {
+        const PageState& st = driver_->state(vpn);
+        std::ostringstream os;
+        os << what << " vpn=" << vpn << " gpu=" << gpu
+           << " subscribers=" << st.subscribers << " mapped=" << st.mapped
+           << " backed=" << st.backed << " location=" << st.location
+           << " gps_bit=" << st.gpsBitSet;
+        calls.push_back(os.str());
+    }
+
+    Driver* driver_;
+};
+
+/** One system whose profiling window ends in a tracking stop. */
+struct TrackingSide
+{
+    explicit TrackingSide(std::size_t gpus)
+        : system(configFor(gpus)), paradigm(system),
+          sink(system.driver()), profile(1, 1 << 20)
+    {}
+
+    static SystemConfig
+    configFor(std::size_t gpus)
+    {
+        SystemConfig config;
+        config.numGpus = gpus;
+        return config;
+    }
+
+    /** Driver, every GPU (TLB, L2, frames) and the GPS state. */
+    std::string
+    stateBytes()
+    {
+        snapshot::Serializer out;
+        system.driver().saveState(out);
+        for (std::size_t g = 0; g < system.numGpus(); ++g)
+            system.gpu(static_cast<GpuId>(g)).saveState(out);
+        paradigm.saveState(out);
+        return out.bytes();
+    }
+
+    /** Subscription flips per page, as the profile collector saw them. */
+    std::vector<std::pair<PageNum, std::uint64_t>>
+    flips() const
+    {
+        std::vector<std::pair<PageNum, std::uint64_t>> out;
+        for (const HotPage& page : profile.finalize().hotPages)
+            out.emplace_back(page.firstVpn, page.heat.subFlips);
+        return out;
+    }
+
+    MultiGpuSystem system;
+    GpsParadigm paradigm;
+    SinkLog sink;
+    ProfileCollector profile;
+    KernelCounters counters;
+};
+
+/**
+ * The tracking stop as it was before subscriptions were dropped in one
+ * batch per page: one unsubscribe per untouched subscriber, ascending.
+ */
+void
+perGpuTrackingStop(GpsParadigm& paradigm, const Driver& driver,
+                   KernelCounters& counters)
+{
+    paradigm.tracker().stop();
+    for (const auto& [base, region] : driver.addressSpace().regions()) {
+        if (region.kind != MemKind::Gps || region.manualSubscription)
+            continue;
+        driver.forEachPage(region, [&](PageNum vpn) {
+            const GpuMask touched = paradigm.tracker().touchedMask(vpn);
+            const GpuMask subscribers =
+                paradigm.subscriptions().subscribers(vpn);
+            maskForEach(subscribers, [&](GpuId g) {
+                if (!maskHas(touched, g))
+                    paradigm.subscriptions().unsubscribe(vpn, g,
+                                                         &counters);
+            });
+        });
+    }
+    paradigm.tracker().clear();
+}
+
+/** Property: the batched tracking stop leaves every byte of state, every
+ *  counter and every sink call exactly as the per-GPU loop does. */
+void
+checkTrackingStopMatchesPerGpuLoop(std::size_t gpus)
+{
+    SCOPED_TRACE(std::to_string(gpus) + " GPUs");
+    constexpr std::size_t pages = 40;
+    TrackingSide per_gpu(gpus);
+    TrackingSide batched(gpus);
+    std::size_t untouched_kept = 0;
+    std::size_t location_moves = 0;
+    std::vector<GpuId> location_before(pages);
+    std::vector<GpuMask> subscribers_before(pages);
+    std::vector<GpuMask> touched(pages);
+    for (TrackingSide* side : {&per_gpu, &batched}) {
+        Rng rng(gpus); // the same draws on both sides
+        Driver& drv = side->system.driver();
+        const GpuId home = static_cast<GpuId>(gpus / 2);
+        const Region& region =
+            drv.mallocGps(pages * 64 * KiB, "gps", home);
+        side->paradigm.onSetupComplete(); // subscribe-all
+        const PageNum first = side->system.geometry().pageNum(region.base);
+        KernelCounters scratch;
+        for (std::size_t i = 0; i < pages; ++i) {
+            const PageNum vpn = first + i;
+            // Random subscriber masks, from everyone to one survivor.
+            const double drop = std::min(1.0, (i % 5) / 4.0);
+            for (std::size_t g = 0; g < gpus; ++g) {
+                if (rng.chance(drop))
+                    side->paradigm.subscriptions().unsubscribe(
+                        vpn, static_cast<GpuId>(g), &scratch);
+            }
+            // Cached translations, so unsubscribes shoot some down.
+            for (std::size_t g = 0; g < gpus; ++g) {
+                if (rng.chance(0.3))
+                    side->system.gpu(static_cast<GpuId>(g))
+                        .tlbAccess(vpn, scratch);
+            }
+            const PageState& st = drv.state(vpn);
+            GpuMask mask = 0;
+            switch (rng.below(4)) {
+              case 0: // nobody touched it: one subscriber stays
+                break;
+              case 1:
+                for (std::size_t g = 0; g < gpus; ++g) {
+                    if (rng.chance(0.5))
+                        mask = maskSet(mask, static_cast<GpuId>(g));
+                }
+                break;
+              case 2:
+                mask = gpuBit(static_cast<GpuId>(rng.below(gpus)));
+                break;
+              default: // everyone but the location: it moves
+                mask = maskClear(maskAll(gpus), st.location);
+                break;
+            }
+            touched[i] = mask;
+            location_before[i] = st.location;
+            subscribers_before[i] = st.subscribers;
+        }
+        side->system.sinks().check = &side->sink;
+        side->system.sinks().profile = &side->profile;
+        side->paradigm.trackingStart();
+        for (std::size_t i = 0; i < pages; ++i) {
+            maskForEach(touched[i], [&](GpuId g) {
+                side->paradigm.tracker().mark(g, first + i);
+            });
+        }
+        if (side == &per_gpu) {
+            perGpuTrackingStop(side->paradigm, drv, side->counters);
+            continue;
+        }
+        side->paradigm.trackingStop(side->counters);
+        for (std::size_t i = 0; i < pages; ++i) {
+            const PageState& st = drv.state(first + i);
+            if ((touched[i] & subscribers_before[i]) == 0 &&
+                maskCount(subscribers_before[i]) >= 2 &&
+                maskCount(st.subscribers) == 1)
+                ++untouched_kept;
+            if (st.location != location_before[i])
+                ++location_moves;
+        }
+    }
+
+    // Not EXPECT_EQ: a mismatch would print megabytes of state.
+    EXPECT_TRUE(per_gpu.stateBytes() == batched.stateBytes());
+    const std::vector<std::string>& want = per_gpu.sink.calls;
+    const std::vector<std::string>& got = batched.sink.calls;
+    ASSERT_EQ(want.size(), got.size());
+    const auto [w, g] = std::mismatch(want.begin(), want.end(), got.begin());
+    EXPECT_TRUE(w == want.end())
+        << "sink call " << (w - want.begin()) << ": " << *w << " vs " << *g;
+    EXPECT_EQ(per_gpu.flips(), batched.flips());
+    EXPECT_EQ(per_gpu.counters.tlbShootdowns,
+              batched.counters.tlbShootdowns);
+    // The draws reach every case the property is about.
+    EXPECT_FALSE(batched.sink.calls.empty());
+    EXPECT_GT(batched.counters.tlbShootdowns, 0u);
+    EXPECT_GT(untouched_kept, 0u);
+    EXPECT_GT(location_moves, 0u);
+}
+
+TEST(GpsTrackingStop, MatchesThePerGpuLoopAtFourGpus)
+{
+    checkTrackingStopMatchesPerGpuLoop(4);
+}
+
+TEST(GpsTrackingStop, MatchesThePerGpuLoopAt33Gpus)
+{
+    checkTrackingStopMatchesPerGpuLoop(33);
+}
+
+TEST(GpsTrackingStop, MatchesThePerGpuLoopAt256Gpus)
+{
+    checkTrackingStopMatchesPerGpuLoop(256);
 }
 
 } // namespace

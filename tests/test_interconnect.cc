@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "common/units.hh"
 #include "interconnect/pcie.hh"
 #include "interconnect/platforms.hh"
@@ -99,6 +100,52 @@ TEST(TrafficMatrix, ClearResetsEverything)
     traffic.clear();
     EXPECT_EQ(traffic.total(), 0u);
     EXPECT_EQ(traffic.payload(), 0u);
+}
+
+TEST(TrafficMatrix, KeptTotalsMatchTheCellSums)
+{
+    // egress/ingress are running row and column totals; every way of
+    // editing a cell (add, addWire, takeWire, clear) must keep them
+    // equal to the sums of the cells.
+    constexpr std::size_t n = 6;
+    TrafficMatrix traffic(n);
+    Rng rng(7);
+    for (int step = 0; step < 2000; ++step) {
+        const GpuId src = static_cast<GpuId>(rng.below(n));
+        const GpuId dst = static_cast<GpuId>(rng.below(n));
+        switch (rng.below(8)) {
+          case 0:
+            (void)traffic.takeWire(src, dst);
+            break;
+          case 1:
+            traffic.addWire(src, dst, rng.below(1000));
+            break;
+          case 2:
+            if (rng.below(50) == 0)
+                traffic.clear();
+            break;
+          default:
+            traffic.add(src, dst, rng.below(1000), rng.below(1000));
+            break;
+        }
+        std::uint64_t total = 0;
+        for (std::size_t g = 0; g < n; ++g) {
+            std::uint64_t row = 0;
+            std::uint64_t col = 0;
+            for (std::size_t other = 0; other < n; ++other) {
+                row += traffic.at(static_cast<GpuId>(g),
+                                  static_cast<GpuId>(other));
+                col += traffic.at(static_cast<GpuId>(other),
+                                  static_cast<GpuId>(g));
+            }
+            ASSERT_EQ(traffic.egress(static_cast<GpuId>(g)), row)
+                << "step " << step;
+            ASSERT_EQ(traffic.ingress(static_cast<GpuId>(g)), col)
+                << "step " << step;
+            total += row;
+        }
+        ASSERT_EQ(traffic.total(), total) << "step " << step;
+    }
 }
 
 TEST(Topology, LinkTimeMatchesBandwidth)

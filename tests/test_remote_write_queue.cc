@@ -339,7 +339,6 @@ class ListQueue
         }
         WqEntry entry;
         entry.line = line;
-        entry.vpn = geometry_.pageNum(line);
         entry.bytesWritten = std::min<std::uint32_t>(lineBytes_, size);
         entry.mergedStores = 1;
         entry.weight = weight;
@@ -370,7 +369,7 @@ class ListQueue
     {
         for (auto it = fifo_.begin(); it != fifo_.end();) {
             auto here = it++;
-            if (here->vpn == vpn)
+            if (geometry_.pageNum(here->line) == vpn)
                 drainEntry(here);
         }
     }
@@ -392,7 +391,7 @@ class ListQueue
         out.u64(fifo_.size());
         for (const WqEntry& e : fifo_) {
             out.u64(e.line);
-            out.u64(e.vpn);
+            out.u64(geometry_.pageNum(e.line));
             out.u32(e.bytesWritten);
             out.u32(e.mergedStores);
             out.u32(e.weight);
@@ -455,7 +454,7 @@ class ListQueue
 bool
 sameEntry(const WqEntry& a, const WqEntry& b)
 {
-    return a.line == b.line && a.vpn == b.vpn &&
+    return a.line == b.line &&
            a.bytesWritten == b.bytesWritten &&
            a.mergedStores == b.mergedStores && a.weight == b.weight &&
            a.seq == b.seq;
@@ -465,7 +464,6 @@ std::string
 describe(const WqEntry& e)
 {
     return "line=" + std::to_string(e.line) +
-           " vpn=" + std::to_string(e.vpn) +
            " bytes=" + std::to_string(e.bytesWritten) +
            " merged=" + std::to_string(e.mergedStores) +
            " weight=" + std::to_string(e.weight) +

@@ -21,7 +21,11 @@
 #include "api/sweep.hh"
 #include "common/crc32.hh"
 #include "common/env.hh"
+#include "core/access_tracker.hh"
+#include "core/gps_page_table.hh"
+#include "core/remote_write_queue.hh"
 #include "gpu/store_coalescer.hh"
+#include "mem/page_table.hh"
 #include "snapshot/snapshot.hh"
 
 namespace gps
@@ -413,6 +417,156 @@ TEST(SnapshotCorruptionComponent, CoalescerCursorOutOfRangeIsRejected)
         EXPECT_THROW(coalescer.restoreState(in), snapshot::SnapshotError)
             << "head " << head << " valid " << valid;
     }
+}
+
+TEST(SnapshotCorruptionComponent, PageTableVpnListedTwiceIsRejected)
+{
+    // A flat table would let the second copy overwrite the first.
+    const auto encode = [](const std::vector<PageNum>& vpns) {
+        snapshot::Serializer out;
+        out.section("pagetable");
+        out.u64(vpns.size());
+        for (const PageNum vpn : vpns) {
+            out.u64(vpn);
+            out.u64(7); // ppn
+            out.u32(1); // location
+            out.b(false);
+        }
+        out.u64(vpns.size()); // map ops
+        out.u64(0);           // unmap ops
+        return out.bytes();
+    };
+    PageTable table("pt");
+    const std::string fits = encode({5, 6, 21});
+    snapshot::Deserializer fits_in(fits);
+    EXPECT_NO_THROW(table.restoreState(fits_in));
+    EXPECT_EQ(table.size(), 3u);
+    const std::string twice = encode({5, 6, 5});
+    snapshot::Deserializer in(twice);
+    EXPECT_THROW(table.restoreState(in), snapshot::SnapshotError);
+}
+
+/** A GPS page table section with one PTE per replica list. */
+std::string
+encodeGpsTable(const std::vector<std::vector<std::uint32_t>>& lists,
+               std::uint64_t live)
+{
+    snapshot::Serializer out;
+    out.section("gpstable");
+    out.u64(100); // base
+    out.u64(lists.size());
+    for (const auto& gpus : lists) {
+        out.u64(gpus.size());
+        for (const std::uint32_t gpu : gpus) {
+            out.u32(gpu);
+            out.u64(1000 + gpu); // ppn
+        }
+    }
+    out.u64(live);
+    return out.bytes();
+}
+
+TEST(SnapshotCorruptionComponent, GpsReplicaGpuBeyondTheMaskIsRejected)
+{
+    // Ids are stored as u32; one past the mask width must not be
+    // narrowed into the 16-bit GpuId.
+    GpsPageTable table;
+    const std::string fits = encodeGpsTable({{0, 255}, {}}, 1);
+    snapshot::Deserializer fits_in(fits);
+    EXPECT_NO_THROW(table.restoreState(fits_in));
+    ASSERT_NE(table.lookup(100), nullptr);
+    EXPECT_TRUE(table.lookup(100)->hasSubscriber(255));
+    for (const std::uint32_t gpu : {256u, 65536u + 3u}) {
+        const std::string bad = encodeGpsTable({{0, gpu}, {}}, 1);
+        snapshot::Deserializer in(bad);
+        EXPECT_THROW(table.restoreState(in), snapshot::SnapshotError)
+            << "gpu " << gpu;
+    }
+}
+
+TEST(SnapshotCorruptionComponent, GpsReplicaGpuListedTwiceIsRejected)
+{
+    GpsPageTable table;
+    const std::string bad = encodeGpsTable({{3}, {1, 4, 1}}, 2);
+    snapshot::Deserializer in(bad);
+    EXPECT_THROW(table.restoreState(in), snapshot::SnapshotError);
+}
+
+TEST(SnapshotCorruptionComponent, GpsTableLiveCountMismatchIsRejected)
+{
+    GpsPageTable table;
+    const std::string fits = encodeGpsTable({{3}, {}, {1, 4}}, 2);
+    snapshot::Deserializer fits_in(fits);
+    EXPECT_NO_THROW(table.restoreState(fits_in));
+    EXPECT_EQ(table.size(), 2u);
+    for (const std::uint64_t live : {1u, 3u}) {
+        const std::string bad = encodeGpsTable({{3}, {}, {1, 4}}, live);
+        snapshot::Deserializer in(bad);
+        EXPECT_THROW(table.restoreState(in), snapshot::SnapshotError)
+            << "live " << live;
+    }
+}
+
+TEST(SnapshotCorruptionComponent, WriteQueueVpnOffItsLineIsRejected)
+{
+    // Entries derive their page from the line; the stored VPN must be
+    // that page.
+    const PageGeometry geometry(64 * KiB);
+    const Addr line = 5 * 64 * KiB + 3 * 128;
+    const auto encode = [&](PageNum vpn) {
+        snapshot::Serializer out;
+        out.section("rwq");
+        out.u64(1);
+        out.u64(line);
+        out.u64(vpn);
+        out.u32(128); // bytes written
+        out.u32(1);   // merged stores
+        out.u32(1);   // weight
+        out.u64(0);   // seq
+        out.u32(1);   // occupancy
+        for (int counter = 0; counter < 7; ++counter)
+            out.u64(counter == 0 ? 1 : 0); // inserts, then the rest
+        out.b(false);
+        return out.bytes();
+    };
+    GpsConfig config;
+    RemoteWriteQueue queue("wq", config, 128, geometry);
+    const std::string fits = encode(5);
+    snapshot::Deserializer fits_in(fits);
+    EXPECT_NO_THROW(queue.restoreState(fits_in));
+    EXPECT_TRUE(queue.contains(line));
+    const std::string bad = encode(6);
+    snapshot::Deserializer in(bad);
+    EXPECT_THROW(queue.restoreState(in), snapshot::SnapshotError);
+}
+
+TEST(SnapshotCorruptionComponent, TrackerMarkOutsideGpsMemoryIsRejected)
+{
+    // The tracker keeps one mask per page across the marked VPN range,
+    // so a page outside GPS memory (2^50 beside page 5) would stretch
+    // that range over petabytes of address space.
+    const auto encode = [](PageNum second) {
+        snapshot::Serializer out;
+        out.section("tracker");
+        out.u64(2); // GPUs
+        out.u64(1);
+        out.u64(5);
+        out.u64(1);
+        out.u64(second);
+        out.b(false); // active
+        out.u64(2);   // marks
+        return out.bytes();
+    };
+    const auto is_gps_page = [](PageNum vpn) { return vpn < 100; };
+    AccessTracker tracker(2);
+    const std::string fits = encode(6);
+    snapshot::Deserializer fits_in(fits);
+    EXPECT_NO_THROW(tracker.restoreState(fits_in, is_gps_page));
+    EXPECT_EQ(tracker.touchedMask(6), gpuBit(1));
+    const std::string bad = encode(PageNum(1) << 50);
+    snapshot::Deserializer in(bad);
+    EXPECT_THROW(tracker.restoreState(in, is_gps_page),
+                 snapshot::SnapshotError);
 }
 
 TEST(SnapshotSerial, CountIsBoundedByTheBytesLeft)
